@@ -182,7 +182,7 @@ fn run_scenario(
     println!("SCENARIO_DIGEST={:#018x}", spec.digest());
     let end_s = plan.end().as_secs_f64();
     let mut phases = PhaseHpm::new();
-    let outcome = if nodes > 1 {
+    let (outcome, hostprof_text) = if nodes > 1 {
         let art = run_cluster_with(
             &config,
             plan,
@@ -231,14 +231,15 @@ fn run_scenario(
             v.shed,
             v.shed_fraction
         );
-        ScenarioOutcome {
+        let outcome = ScenarioOutcome {
             web_p90: v.verdict.web_p90,
             rmi_p90: v.verdict.rmi_p90,
             error_rate: v.verdict.error_rate,
             shed_fraction: v.shed_fraction,
             slo_miss: art.metrics.slo_miss_fraction(spec.slo.web_p90_s),
             lost: v.lost,
-        }
+        };
+        (outcome, art.host_profile.map(|r| r.render()))
     } else {
         let mut engine = Engine::new(config.clone(), plan);
         for boundary_s in config.curve.phase_boundaries(end_s) {
@@ -279,16 +280,20 @@ fn run_scenario(
             write_file(&path, json.as_bytes())?;
             eprintln!("trace written to {}", path.display());
         }
-        ScenarioOutcome {
+        let outcome = ScenarioOutcome {
             web_p90: art.verdict.web_p90,
             rmi_p90: art.verdict.rmi_p90,
             error_rate: art.verdict.error_rate,
             shed_fraction: 0.0,
             slo_miss,
             lost: 0,
-        }
+        };
+        (outcome, art.hostprof_text)
     };
     println!("{}", spec.verdict_line(&outcome));
+    if let Some(text) = &hostprof_text {
+        print!("{text}");
+    }
     Ok(())
 }
 
@@ -336,6 +341,9 @@ fn run_fleet(
         v.shed,
         v.shed_fraction
     );
+    if let Some(report) = &art.host_profile {
+        print!("{}", report.render());
+    }
     Ok(())
 }
 

@@ -109,7 +109,8 @@ OPTIONS:
     --ramp <SECONDS>     ramp-up excluded from statistics (default 20)
     --seed <N>           RNG seed (default: fixed project seed)
     --threads <N>        host threads for per-core execution (default 1;
-                         results are identical for every value)
+                         clamped to the model's cores and the host's
+                         CPUs; results are identical for every value)
     --sched <MODE>       quantum | event (default quantum); `event` runs
                          the discrete-event scheduler, which skips
                          provably idle quanta and produces bit-identical

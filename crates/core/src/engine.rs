@@ -23,9 +23,13 @@
 //!    caches, ERAT/TLB, branch predictors, prefetcher, HPM counters.
 //!    Shared-hierarchy traffic is recorded into a per-core ordered
 //!    [`MemEvent`] buffer and provisionally charged an L2-hit latency.
-//!    Slices share no mutable state, so they run on worker threads when
-//!    `--threads` > 1 — or inline, through the identical code path, when
-//!    it is 1.
+//!    Slices share no mutable state, so at `--threads` > 1 they spread over
+//!    the engine's own persistent pool — or run inline, through the
+//!    identical code path, at 1. The pool's helper threads are spawned on
+//!    the first executed quantum and joined when the engine drops; the
+//!    calling thread runs its own share of every round, a round with a
+//!    single slice runs inline with no handoff, and an idle helper spins a
+//!    bounded number of tries before parking in a blocking receive.
 //! 3. **Reconcile (sequential).** In fixed core order, each core's event
 //!    buffer is drained through the shared L2/L3/MESI model
 //!    ([`jas_cpu::reconcile_core`]), charging the latency difference
@@ -210,6 +214,115 @@ fn run_slice(mut s: Slice) -> SliceDone {
     }
 }
 
+/// `try_recv` attempts before a waiting thread parks in a blocking `recv`.
+/// An iteration count, not a deadline: the engine reads no host clock.
+/// About 0.8 ms on the 2-CPU development host, longer than the sequential
+/// plan/reconcile gap between rounds, so back-to-back rounds hand off
+/// without an OS wake-up.
+const SPIN_TRIES: u32 = 20_000;
+
+/// Receives from `rx`, spinning for [`SPIN_TRIES`] attempts before
+/// parking. `None` once the sending side is gone.
+fn spin_recv<T>(rx: &mpsc::Receiver<T>) -> Option<T> {
+    for _ in 0..SPIN_TRIES {
+        match rx.try_recv() {
+            Ok(v) => return Some(v),
+            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+            Err(mpsc::TryRecvError::Disconnected) => return None,
+        }
+    }
+    rx.recv().ok()
+}
+
+/// One long-lived execute-phase helper thread and its two queues.
+struct ExecHelper {
+    jobs: mpsc::Sender<Slice>,
+    results: mpsc::Receiver<SliceDone>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+/// The engine's persistent execute-phase pool: helper threads live as long
+/// as the engine, and the calling thread runs its own share of every round
+/// as lane 0. Results come back in any order and are re-indexed by core
+/// before the sequential reconcile, so the lane a slice ran on cannot reach
+/// simulation state.
+struct ExecPool {
+    helpers: Vec<ExecHelper>,
+}
+
+impl ExecPool {
+    /// A pool for `workers` execute lanes, the caller included. Helpers are
+    /// clamped to the host's CPUs as well: a lane without a CPU of its own
+    /// only adds handoffs.
+    fn new(workers: usize) -> ExecPool {
+        let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let helpers = (0..workers.min(host_cpus).saturating_sub(1))
+            .map(|i| {
+                let (jobs, job_rx) = mpsc::channel::<Slice>();
+                let (done_tx, results) = mpsc::channel::<SliceDone>();
+                let handle = std::thread::Builder::new()
+                    .name(format!("jas-exec-{i}"))
+                    .spawn(move || {
+                        while let Some(slice) = spin_recv(&job_rx) {
+                            if done_tx.send(run_slice(slice)).is_err() {
+                                break;
+                            }
+                        }
+                    })
+                    .expect("spawn execute-phase helper thread");
+                ExecHelper {
+                    jobs,
+                    results,
+                    handle,
+                }
+            })
+            .collect();
+        ExecPool { helpers }
+    }
+
+    /// Executes one round's slices. A single slice runs inline with no
+    /// handoff; otherwise slice `k` of the round runs on lane
+    /// `k mod lanes`.
+    fn run(&mut self, slices: Vec<Slice>) -> Vec<SliceDone> {
+        let n = slices.len();
+        if n <= 1 {
+            return slices.into_iter().map(run_slice).collect();
+        }
+        let lanes = self.helpers.len() + 1;
+        let mut own = Vec::with_capacity(n.div_ceil(lanes));
+        for (pos, slice) in slices.into_iter().enumerate() {
+            match pos % lanes {
+                0 => own.push(slice),
+                lane => self.helpers[lane - 1]
+                    .jobs
+                    .send(slice)
+                    .expect("execute-phase helper alive"),
+            }
+        }
+        let mut done: Vec<SliceDone> = own.into_iter().map(run_slice).collect();
+        for (lane, helper) in (1..).zip(&self.helpers) {
+            for _ in (lane..n).step_by(lanes) {
+                done.push(spin_recv(&helper.results).expect("execute-phase helper result"));
+            }
+        }
+        done
+    }
+}
+
+impl Drop for ExecPool {
+    fn drop(&mut self) {
+        for ExecHelper { jobs, handle, .. } in self.helpers.drain(..) {
+            // Closing the job queue ends the helper's receive loop.
+            drop(jobs);
+            if let Err(panic) = handle.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
+}
+
 /// The coupled system-under-test simulation.
 pub struct Engine {
     cfg: SutConfig,
@@ -287,6 +400,10 @@ pub struct Engine {
     wakes: WakeHeap,
     /// Scheduler-occupancy counters (`--figure sched`).
     sched_stats: SchedStats,
+    /// Execute-phase helper threads, built on the first executed quantum
+    /// at `--threads` > 1 and joined when the engine drops. Host
+    /// machinery, not simulation state.
+    exec_pool: Option<ExecPool>,
 }
 
 impl Engine {
@@ -405,6 +522,7 @@ impl Engine {
             sched_event,
             wakes: WakeHeap::new(),
             sched_stats: SchedStats::default(),
+            exec_pool: None,
         };
         // Pre-warm the session store so the live set starts near its
         // steady-state target (the paper measures after a long warm-up; a
@@ -727,42 +845,17 @@ impl Engine {
             }
         }
 
-        // 3. Run the cores through plan/execute/reconcile rounds, on worker
-        // threads when configured (results are identical either way; see
-        // the module docs).
+        // 3. Run the cores through plan/execute/reconcile rounds, on the
+        // engine's helper threads when configured (results are identical
+        // either way; see the module docs).
         let workers = self.exec_threads();
         if workers > 1 {
-            std::thread::scope(|scope| {
-                let (done_tx, done_rx) = mpsc::channel::<SliceDone>();
-                let mut slice_txs = Vec::with_capacity(workers);
-                for _ in 0..workers {
-                    let (tx, rx) = mpsc::channel::<Slice>();
-                    let done_tx = done_tx.clone();
-                    scope.spawn(move || {
-                        while let Ok(slice) = rx.recv() {
-                            if done_tx.send(run_slice(slice)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    slice_txs.push(tx);
-                }
-                drop(done_tx);
-                let mut dispatch = |slices: Vec<Slice>| -> Vec<SliceDone> {
-                    let n = slices.len();
-                    for s in slices {
-                        // Static core→worker assignment; arrival order of
-                        // results is irrelevant (they are re-indexed by
-                        // core before the sequential reconcile).
-                        slice_txs[s.core % workers].send(s).expect("worker alive");
-                    }
-                    (0..n)
-                        .map(|_| done_rx.recv().expect("worker result"))
-                        .collect()
-                };
-                self.run_rounds(&mut dispatch);
-                // Dropping slice_txs at scope exit terminates the workers.
-            });
+            let mut pool = self
+                .exec_pool
+                .take()
+                .unwrap_or_else(|| ExecPool::new(workers));
+            self.run_rounds(&mut |slices| pool.run(slices));
+            self.exec_pool = Some(pool);
         } else {
             let mut dispatch =
                 |slices: Vec<Slice>| slices.into_iter().map(run_slice).collect::<Vec<_>>();
@@ -856,8 +949,9 @@ impl Engine {
         }
     }
 
-    /// Host worker threads for the parallel phase, clamped to the core
-    /// count (extra threads would only idle).
+    /// Execute lanes for the parallel phase (the calling thread plus
+    /// helpers), clamped to the core count (extra lanes would only idle).
+    /// [`ExecPool::new`] also clamps to the host's CPUs.
     fn exec_threads(&self) -> usize {
         self.cfg
             .threads
@@ -2270,7 +2364,8 @@ impl Engine {
         // Skipped on purpose: cfg/run (identity — must match at restore),
         // method_cdf (config-derived), event_bufs (drained every quantum),
         // faults_active/trace_active/sched_event (cached config flags),
-        // hostprof (host wall-clock; never simulation state), external
+        // hostprof (host wall-clock; never simulation state), exec_pool
+        // (host helper threads; a restored engine builds its own), external
         // (cluster snapshots are taken only at epoch boundaries, where
         // every dispatched arrival has been admitted and the queue is
         // provably empty — `next_arrival` then persists as the sentinel).

@@ -16,6 +16,7 @@ use jas_cluster::{
 use jas_cpu::CounterFile;
 use jas_hpm::{FleetHpm, PhaseHpm};
 use jas_simkernel::{Loader, Saver, SimDuration, SimTime};
+use jas_trace::HostProfReport;
 use jas_workload::{Driver, DriverConfig, Metrics, RequestKind};
 
 /// Per-node seed salt ("NODESEED"): node 0 keeps the configured seed,
@@ -148,6 +149,9 @@ pub struct ClusterArtifacts {
     /// Nodes in rotation when the run ended (equals `nodes` unless the
     /// autoscaler drained some back to standby).
     pub active_nodes: usize,
+    /// Host self-profile summed over the node engines in node order, when
+    /// `--host-prof` is on.
+    pub host_profile: Option<HostProfReport>,
 }
 
 /// Mean crash→restart latency over the LB's event log: each
@@ -261,6 +265,14 @@ pub fn run_cluster_with(
         acc.observe(run.end().as_secs_f64(), &fleet_counters(&cluster));
     }
     let active_nodes = cluster.active_nodes();
+    let host_profile = cluster
+        .nodes()
+        .iter()
+        .filter_map(|node| node.engine().host_profile())
+        .reduce(|mut sum, report| {
+            sum.merge(&report);
+            sum
+        });
     ClusterArtifacts {
         nodes,
         dispatch,
@@ -278,6 +290,7 @@ pub fn run_cluster_with(
         metrics: cluster.merged_metrics(),
         failover_ms: mean_failover_ms(cluster.log()),
         active_nodes,
+        host_profile,
     }
 }
 

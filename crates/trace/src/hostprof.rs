@@ -148,6 +148,20 @@ pub struct HostProfReport {
 }
 
 impl HostProfReport {
+    /// Folds another engine's report into this one: section times, spans
+    /// and quanta add up; wall time is the longer of the two, since the
+    /// profiled engines share one host timeline.
+    pub fn merge(&mut self, other: &HostProfReport) {
+        self.wall_secs = self.wall_secs.max(other.wall_secs);
+        for (a, b) in self.section_secs.iter_mut().zip(other.section_secs) {
+            *a += b;
+        }
+        for (a, b) in self.section_spans.iter_mut().zip(other.section_spans) {
+            *a += b;
+        }
+        self.quanta += other.quanta;
+    }
+
     /// Renders the `HOSTPROF` text section: per-phase host milliseconds,
     /// share of attributed time, and mean microseconds per quantum.
     #[must_use]
@@ -220,6 +234,27 @@ mod tests {
         prof.end();
         prof.end();
         assert_eq!(prof.report().section_spans, [0; HostSection::ALL.len()]);
+    }
+
+    #[test]
+    fn merge_sums_sections_and_keeps_the_longer_wall() {
+        let a = HostProfReport {
+            wall_secs: 2.0,
+            section_secs: [1.0, 0.0, 0.5, 0.25, 0.0, 0.0],
+            section_spans: [1, 0, 2, 3, 0, 0],
+            quanta: 4,
+        };
+        let mut sum = HostProfReport {
+            wall_secs: 3.0,
+            section_secs: [0.5; HostSection::ALL.len()],
+            section_spans: [1; HostSection::ALL.len()],
+            quanta: 6,
+        };
+        sum.merge(&a);
+        assert_eq!(sum.wall_secs, 3.0);
+        assert_eq!(sum.section_secs, [1.5, 0.5, 1.0, 0.75, 0.5, 0.5]);
+        assert_eq!(sum.section_spans, [2, 1, 3, 4, 1, 1]);
+        assert_eq!(sum.quanta, 10);
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn run_storm(threads: usize, sched: SchedMode) -> ClusterArtifacts {
 }
 
 /// The CI cluster gate: HPM, trace, and fault digests are identical at
-/// `--threads 1/4/8` under both schedulers, through a storm that
+/// `--threads 1/2/4/8` under both schedulers, through a storm that
 /// actually crashes nodes.
 #[test]
 fn chaos_storm_is_bit_identical_across_threads_and_schedulers() {
@@ -56,7 +56,7 @@ fn chaos_storm_is_bit_identical_across_threads_and_schedulers() {
         "the storm must crash nodes for the gate to mean anything: {:?}",
         base.stats
     );
-    for threads in [1usize, 4, 8] {
+    for threads in [1usize, 2, 4, 8] {
         for sched in [SchedMode::Quantum, SchedMode::Event] {
             if threads == 1 && sched == SchedMode::Quantum {
                 continue;
@@ -101,6 +101,27 @@ fn storm_failover_verdict_is_pinned() {
     // Completions + errors + crash-errors account for everything that is
     // not still in flight at the horizon.
     assert!(art.stats.completions > 0);
+}
+
+/// `--host-prof` on a fleet: the artifacts carry one host profile summed
+/// over the node engines, so every node's quanta are counted once.
+#[test]
+fn fleet_host_profile_sums_the_node_engines() {
+    let mut c = storm_cfg(1, SchedMode::Quantum);
+    c.faults.plan = FaultPlan::default();
+    assert!(run_cluster(&c, plan(), 2, DispatchPolicy::LeastConn)
+        .host_profile
+        .is_none());
+    c.host_prof = true;
+    let mut single = Engine::new(c.clone(), plan());
+    single.run_to_end();
+    let per_node = single.host_profile().expect("profiling is on").quanta;
+    let art = run_cluster(&c, plan(), 2, DispatchPolicy::LeastConn);
+    let fleet = art
+        .host_profile
+        .expect("fleet profile when profiling is on");
+    assert_eq!(fleet.quanta, 2 * per_node);
+    assert!(fleet.render().starts_with("HOSTPROF"));
 }
 
 /// Every dispatch policy is individually reproducible: two runs of the

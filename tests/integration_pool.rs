@@ -1,0 +1,104 @@
+//! The execute-phase pool is owned by its engine: at `--threads 2` an
+//! engine keeps the same helper threads across chunked `run_to` calls and
+//! joins them when it drops, and its results equal the `--threads 1` run.
+//!
+//! This binary holds a single test on purpose: it counts the process's OS
+//! threads, which concurrent tests in the same binary would disturb.
+
+#![cfg(target_os = "linux")]
+
+use jas2004::{Engine, RunPlan, SutConfig};
+use jas_simkernel::{SimDuration, SimTime};
+
+const ENGINES: u64 = 8;
+
+fn plan() -> RunPlan {
+    RunPlan {
+        ramp_up: SimDuration::from_secs(1),
+        steady: SimDuration::from_secs(3),
+        hpm_period: SimDuration::from_millis(500),
+        throughput_bin: SimDuration::from_secs(1),
+    }
+}
+
+fn cfg(seed: u64, threads: usize) -> SutConfig {
+    let mut c = SutConfig::at_ir(20);
+    c.machine.frequency_hz = 200_000.0;
+    c.seed = seed;
+    c.threads = threads;
+    c
+}
+
+/// The `Threads:` count from `/proc/self/status`.
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .expect("status has a Threads: line")
+        .trim()
+        .parse()
+        .expect("Threads: is a count")
+}
+
+/// Polls until the OS thread count reaches `want`: a joined thread can
+/// linger in the count for a moment after `join` returns.
+fn settle_to(want: usize) -> usize {
+    for _ in 0..200 {
+        if os_threads() == want {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    os_threads()
+}
+
+/// Builds the engines, runs them to the end in interleaved one-second
+/// chunks, and returns each engine's `(HPM digest, completions)`. Calls
+/// `during` after every chunk while all engines are alive.
+fn run_chunked(threads: usize, mut during: impl FnMut()) -> Vec<(u64, u64)> {
+    let mut engines: Vec<Engine> = (1..=ENGINES)
+        .map(|seed| Engine::new(cfg(seed, threads), plan()))
+        .collect();
+    let end = plan().end();
+    let mut t = SimTime::ZERO;
+    while t < end {
+        t = (t + SimDuration::from_secs(1)).min(end);
+        for e in &mut engines {
+            e.run_to(t);
+        }
+        during();
+    }
+    engines
+        .iter_mut()
+        .map(|e| {
+            e.run_to_end();
+            (e.hpm_digest(), e.completed_requests())
+        })
+        .collect()
+}
+
+#[test]
+fn pool_helpers_are_reused_and_joined() {
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = cfg(1, 2).machine.topology.cores();
+    let helpers_per_engine = 2usize.min(cores).min(host_cpus) - 1;
+    let start = os_threads();
+    let mut observed = Vec::new();
+    let parallel = run_chunked(2, || observed.push(os_threads()));
+    assert!(!observed.is_empty());
+    for (chunk, &n) in observed.iter().enumerate() {
+        assert_eq!(
+            n,
+            start + ENGINES as usize * helpers_per_engine,
+            "thread count after chunk {chunk}: each live engine holds exactly its own helpers"
+        );
+    }
+    assert_eq!(
+        settle_to(start),
+        start,
+        "dropping the engines must join every helper"
+    );
+    let serial = run_chunked(1, || {});
+    assert_eq!(parallel, serial, "--threads 2 diverges from --threads 1");
+}

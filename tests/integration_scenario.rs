@@ -124,7 +124,7 @@ fn diurnal_scenario_is_thread_and_scheduler_invariant() {
 
 /// Time-varying load through the fleet path: the flash-crowd scenario's
 /// fleet digests, stats, and final active-node count are identical at
-/// threads 1/4/8 under both schedulers.
+/// threads 1/2/4/8 under both schedulers.
 #[test]
 fn flash_crowd_scenario_is_thread_and_scheduler_invariant() {
     let spec = load("flash-crowd");
@@ -141,7 +141,7 @@ fn flash_crowd_scenario_is_thread_and_scheduler_invariant() {
         )
     };
     let base = run(1, SchedMode::Quantum);
-    for threads in [1usize, 4, 8] {
+    for threads in [1usize, 2, 4, 8] {
         for sched in [SchedMode::Quantum, SchedMode::Event] {
             if threads == 1 && sched == SchedMode::Quantum {
                 continue;
