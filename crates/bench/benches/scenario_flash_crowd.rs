@@ -7,7 +7,9 @@
 //! fields are the fleet-aggregate simulated cycles and instructions.
 //! The machine is scaled down the same way the cluster_failover bench
 //! scales it — the digest-pinned full-scale runs live in the CI
-//! scenario matrix, this row tracks host cost and SLO headroom.
+//! scenario matrix, this row tracks host cost and SLO headroom. The
+//! `threads=2` row runs each node's epochs on its own lane thread
+//! (results are bit-identical; only host time moves).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use jas2004::{run_cluster_with, HpmEvent, RunPlan, SutConfig};
@@ -27,9 +29,10 @@ fn spec() -> ScenarioSpec {
 /// Runs the scenario and reports `((simulated_cycles, instructions),
 /// extra-fields)` so the JSON row records simulation throughput plus the
 /// shed fraction and SLO-miss fraction under the spike.
-fn run() -> ((f64, f64), Vec<(&'static str, f64)>) {
+fn run(threads: usize) -> ((f64, f64), Vec<(&'static str, f64)>) {
     let spec = spec();
     let mut cfg = SutConfig::at_ir(spec.ir);
+    cfg.threads = threads;
     cfg.machine.frequency_hz = 100_000.0;
     cfg.seed = 7;
     cfg.curve = spec.compile_curve();
@@ -69,8 +72,18 @@ fn run() -> ((f64, f64), Vec<(&'static str, f64)>) {
 
 fn bench(c: &mut Criterion) {
     c.bench_function("scenario_flash_crowd/nodes=3", |b| {
-        b.iter_with_work_fields(run)
+        b.iter_with_work_fields(|| run(1))
     });
+    // Node lanes need a second CPU; on a single-CPU host the fleet runs
+    // serially, so the row would only repeat threads=1.
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    if host_cpus > 1 {
+        c.bench_function("scenario_flash_crowd/nodes=3/threads=2", |b| {
+            b.iter_with_work_fields(|| run(2))
+        });
+    } else {
+        println!("scenario_flash_crowd/nodes=3/threads=2   skipped: host has 1 CPU");
+    }
 }
 
 criterion_group! {

@@ -82,7 +82,8 @@ pub struct ClusterConfig {
     /// Delay between a crash and the warm restart from the last snapshot.
     pub restart_delay: SimDuration,
     /// Snapshot attempts fire every `snapshot_every` epochs (taken only
-    /// when the node is quiescent, so restores never replay work).
+    /// when the node is quiescent, so restores never replay work, and
+    /// only when the plan has a `node-crash` window to restore from).
     pub snapshot_every: u64,
     /// Per-node admission cap: dispatch sheds when every available node
     /// is at this many requests in flight.
@@ -716,7 +717,19 @@ impl<N: ClusterNode> Cluster<N> {
     /// are captured (nothing in flight, nothing queued): a restore must
     /// never replay half-done work, which is also what keeps the engine's
     /// unpersisted external queue provably empty at capture.
+    ///
+    /// Snapshots are read only by warm restarts, and only a `node-crash`
+    /// window can crash a node, so a plan without one takes none.
     fn take_snapshots(&mut self) {
+        let can_crash = self
+            .cfg
+            .plan
+            .windows()
+            .iter()
+            .any(|w| w.kind == FaultKind::NodeCrash);
+        if !can_crash {
+            return;
+        }
         for (node, ctl) in self.nodes.iter_mut().zip(self.ctl.iter_mut()) {
             if !ctl.crashed() && node.in_flight() == 0 && ctl.inflight.is_empty() {
                 ctl.snapshot = Some((node.snapshot(), node.now()));

@@ -48,6 +48,8 @@ mod tests {
         errored: u64,
         counters: CounterFile,
         metrics: Metrics,
+        /// `snapshot()` calls so far.
+        snapshots: u64,
     }
 
     impl MockNode {
@@ -60,6 +62,7 @@ mod tests {
                 errored: 0,
                 counters: CounterFile::default(),
                 metrics: test_metrics(),
+                snapshots: 0,
             }
         }
     }
@@ -102,6 +105,7 @@ mod tests {
 
         fn snapshot(&mut self) -> Vec<u8> {
             assert!(self.pending.is_empty(), "snapshot of a busy mock");
+            self.snapshots += 1;
             let mut bytes = Vec::new();
             bytes.extend_from_slice(&self.clock.as_nanos().to_le_bytes());
             bytes.extend_from_slice(&self.completed.to_le_bytes());
@@ -496,5 +500,30 @@ mod tests {
         c.finish();
         let merged = c.merged_metrics();
         assert_eq!(merged.completed(RequestKind::Browse), c.stats().completions);
+    }
+
+    #[test]
+    fn snapshots_are_taken_only_when_a_node_can_crash() {
+        // One arrival a minute: every node is quiescent at every epoch.
+        let snapshots = |spec: &str| {
+            let mut c = fleet(
+                3,
+                ClusterConfig {
+                    plan: FaultPlan::parse(spec).expect("parses"),
+                    ..cfg(3)
+                },
+            );
+            let mut arrivals = Steady {
+                gap: SimDuration::from_secs(60),
+                kind: RequestKind::Browse,
+            };
+            c.run(&mut arrivals, SimTime::from_secs(2));
+            c.nodes().iter().map(|n| n.snapshots).sum::<u64>()
+        };
+        assert_eq!(snapshots(""), 0, "healthy plan");
+        assert_eq!(snapshots("node-slow@0-2:0.5,partition@0-2:0.5"), 0);
+        // A rate-0 crash window never fires, so all 3 nodes stay up: one
+        // initial snapshot each plus one every 2 of the 20 epochs.
+        assert_eq!(snapshots("node-crash@0-2:0"), 3 * (1 + 20 / 2));
     }
 }

@@ -110,7 +110,10 @@ OPTIONS:
     --seed <N>           RNG seed (default: fixed project seed)
     --threads <N>        host threads for per-core execution (default 1;
                          clamped to the model's cores and the host's
-                         CPUs; results are identical for every value)
+                         CPUs; results are identical for every value);
+                         in a fleet (--nodes > 1) on a multi-CPU host,
+                         any value above 1 means one lane thread per
+                         node, each running its engine inline
     --sched <MODE>       quantum | event (default quantum); `event` runs
                          the discrete-event scheduler, which skips
                          provably idle quanta and produces bit-identical

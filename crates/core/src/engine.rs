@@ -331,7 +331,7 @@ pub struct Engine {
     jvm: Jvm,
     db: Database,
     appserver: AppServer,
-    scenario: Box<dyn Scenario>,
+    scenario: Box<dyn Scenario + Send>,
     rng: Rng,
     clock: SimTime,
     next_arrival: (SimTime, RequestKind),
@@ -402,9 +402,18 @@ pub struct Engine {
     sched_stats: SchedStats,
     /// Execute-phase helper threads, built on the first executed quantum
     /// at `--threads` > 1 and joined when the engine drops. Host
-    /// machinery, not simulation state.
+    /// machinery, not simulation state. Never built for a fleet node on a
+    /// lane: its engine runs with `threads = 1` (`crate::fleet`).
     exec_pool: Option<ExecPool>,
 }
+
+// A fleet node hands its engine to a lane thread for each LB epoch
+// (`crate::fleet`), so the engine must stay `Send`: a `!Send` field fails
+// the build here rather than at the lane.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Engine>();
+};
 
 impl Engine {
     /// Builds the system under test and its instruments.
@@ -414,7 +423,7 @@ impl Engine {
         let machine = Machine::new(cfg.machine.clone());
         let jvm = Jvm::new(cfg.jvm);
         let mut db = Database::new(cfg.db);
-        let scenario: Box<dyn Scenario> = match cfg.scenario {
+        let scenario: Box<dyn Scenario + Send> = match cfg.scenario {
             ScenarioKind::JAppServer => Box::new(JasScenario::with_curve(
                 &mut db,
                 cfg.ir,

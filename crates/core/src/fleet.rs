@@ -18,6 +18,9 @@ use jas_hpm::{FleetHpm, PhaseHpm};
 use jas_simkernel::{Loader, Saver, SimDuration, SimTime};
 use jas_trace::HostProfReport;
 use jas_workload::{Driver, DriverConfig, Metrics, RequestKind};
+use std::cell::{Cell, OnceCell};
+use std::num::NonZeroUsize;
+use std::sync::mpsc;
 
 /// Per-node seed salt ("NODESEED"): node 0 keeps the configured seed,
 /// node `i` folds `i * SALT` in, so each stack draws independent streams
@@ -28,12 +31,101 @@ const NODE_SEED_SALT: u64 = 0x4E4F_4445_5345_4544;
 /// node clocks land exactly on epoch boundaries under both schedulers.
 const EPOCH_QUANTA: u64 = 8;
 
+/// Why a node can have no engine: a job on its lane panicked, and the
+/// panic was caught above the LB.
+const ENGINE_LOST: &str = "node engine lost to a panic on its lane";
+
+/// A job for a [`Lane`]; a node's job takes its engine out and returns it.
+type Job<T> = Box<dyn FnOnce() -> T + Send>;
+
+/// One persistent worker thread that runs a fleet node's epochs off the
+/// LB thread. The lane parks in a blocking receive between jobs: the
+/// grain is a whole LB epoch, so there is nothing to win by spinning.
+/// A job that panics sends its payload back, and [`Lane::land`]
+/// re-raises it on the caller, so a lane panic fails the run as if the
+/// job had run inline.
+struct Lane<T: Send + 'static> {
+    jobs: Option<mpsc::Sender<Job<T>>>,
+    done: mpsc::Receiver<std::thread::Result<T>>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl<T: Send + 'static> Lane<T> {
+    fn spawn() -> Lane<T> {
+        let (jobs, job_rx) = mpsc::channel::<Job<T>>();
+        let (done_tx, done) = mpsc::channel();
+        let handle = std::thread::Builder::new()
+            .name("jas-lane".into())
+            .spawn(move || {
+                while let Ok(job) = job_rx.recv() {
+                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                    if done_tx.send(out).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn fleet lane thread");
+        Lane {
+            jobs: Some(jobs),
+            done,
+            handle: Some(handle),
+        }
+    }
+
+    /// Starts `job` on the lane and returns at once.
+    fn launch(&self, job: Job<T>) {
+        self.jobs
+            .as_ref()
+            .and_then(|jobs| jobs.send(job).ok())
+            .expect("fleet lane alive");
+    }
+
+    /// Blocks until the launched job finishes and returns its result,
+    /// re-raising the job's own panic if it had one.
+    fn land(&self) -> T {
+        match self.done.recv().expect("fleet lane result") {
+            Ok(value) => value,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+}
+
+impl<T: Send + 'static> Drop for Lane<T> {
+    fn drop(&mut self) {
+        // Closing the job queue ends the lane's receive loop. The loop
+        // catches every job panic, so the join cannot fail, and a panic
+        // nobody landed was already reported by the panic hook.
+        drop(self.jobs.take());
+        if let Some(handle) = self.handle.take() {
+            if handle.join().is_err() {
+                eprintln!("jas-lane: fleet lane thread panicked");
+            }
+        }
+    }
+}
+
 /// An [`Engine`] wrapped as a cluster node: arrivals come exclusively
 /// from the LB, snapshots go through the engine's `Persist` visitor.
+///
+/// At `--threads` > 1 on a multi-CPU host the node owns a lane thread:
+/// [`ClusterNode::run_to`] hands the engine to it and returns at once, so
+/// the nodes of one LB epoch run concurrently, and every other access
+/// first *lands* the engine with a blocking receive. The LB reads nodes
+/// only after the epoch's `run_to` calls, in node order, so it sees
+/// exactly the state a serial run would give it. The engine inside a
+/// lane runs its execute phase inline: the lanes are the fleet's
+/// parallelism.
 pub struct EngineNode {
     cfg: SutConfig,
     run: RunPlan,
-    engine: Engine,
+    /// The engine; empty while it is out on the lane.
+    engine: OnceCell<Box<Engine>>,
+    /// A `run_to` is out on the lane and its engine not yet landed.
+    pending: Cell<bool>,
+    /// Whether epochs run on a lane (decided once, at construction).
+    use_lane: bool,
+    /// The lane thread, spawned on the first `run_to`.
+    lane: Option<Lane<Box<Engine>>>,
 }
 
 impl EngineNode {
@@ -41,47 +133,88 @@ impl EngineNode {
     /// reduced to local windows (`FaultPlan::local_only`) — fleet
     /// windows are the LB's business.
     #[must_use]
-    pub fn new(cfg: SutConfig, run: RunPlan) -> EngineNode {
+    pub fn new(mut cfg: SutConfig, run: RunPlan) -> EngineNode {
+        let host_cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let use_lane = cfg.threads > 1 && host_cpus > 1;
+        if use_lane {
+            cfg.threads = 1;
+        }
         let mut engine = Engine::new(cfg.clone(), run);
         engine.enable_external_arrivals();
-        EngineNode { cfg, run, engine }
+        EngineNode {
+            cfg,
+            run,
+            engine: OnceCell::from(Box::new(engine)),
+            pending: Cell::new(false),
+            use_lane,
+            lane: None,
+        }
     }
 
-    /// The wrapped engine (read-only).
+    /// Waits for a `run_to` that is out on the lane and puts its engine
+    /// back; a no-op when nothing is pending.
+    fn land(&self) {
+        if self.pending.replace(false) {
+            let lane = self.lane.as_ref().expect("a pending run has a lane");
+            let landed = self.engine.set(lane.land()).is_ok();
+            assert!(landed, "a pending node holds no engine");
+        }
+    }
+
+    /// The wrapped engine (read-only), landed from its lane first.
     #[must_use]
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        self.land();
+        self.engine.get().expect(ENGINE_LOST)
+    }
+
+    /// The wrapped engine, landed from its lane first.
+    fn engine_mut(&mut self) -> &mut Engine {
+        self.land();
+        self.engine.get_mut().expect(ENGINE_LOST)
     }
 }
 
 impl ClusterNode for EngineNode {
     fn now(&self) -> SimTime {
-        self.engine.now()
+        self.engine().now()
     }
 
     fn run_to(&mut self, until: SimTime) {
-        self.engine.run_to(until);
+        if !self.use_lane {
+            self.engine_mut().run_to(until);
+            return;
+        }
+        self.land();
+        let mut engine = self.engine.take().expect(ENGINE_LOST);
+        let lane = self.lane.get_or_insert_with(Lane::spawn);
+        lane.launch(Box::new(move || {
+            engine.run_to(until);
+            engine
+        }));
+        self.pending.set(true);
     }
 
     fn push_arrival(&mut self, at: SimTime, kind: RequestKind) {
-        self.engine.push_external_arrival(at, kind);
+        self.engine_mut().push_external_arrival(at, kind);
     }
 
     fn completed(&self) -> u64 {
-        self.engine.frontend_completed()
+        self.engine().frontend_completed()
     }
 
     fn errored(&self) -> u64 {
-        self.engine.frontend_aborted()
+        self.engine().frontend_aborted()
     }
 
     fn in_flight(&self) -> u64 {
-        self.engine.in_flight() + self.engine.external_arrivals_queued() as u64
+        let engine = self.engine();
+        engine.in_flight() + engine.external_arrivals_queued() as u64
     }
 
     fn snapshot(&mut self) -> Vec<u8> {
         let mut saver = Saver::new();
-        self.engine.persist_state(&mut saver);
+        self.engine_mut().persist_state(&mut saver);
         saver.into_bytes()
     }
 
@@ -93,31 +226,31 @@ impl ClusterNode for EngineNode {
         loader
             .finish()
             .expect("in-memory node snapshot always matches this build");
-        self.engine = engine;
+        *self.engine_mut() = engine;
     }
 
     fn finish(&mut self) {
-        self.engine.run_to_end();
+        self.engine_mut().run_to_end();
     }
 
     fn hpm_digest(&self) -> u64 {
-        self.engine.hpm_digest()
+        self.engine().hpm_digest()
     }
 
     fn trace_digest(&self) -> u64 {
-        self.engine.tracer().digest()
+        self.engine().tracer().digest()
     }
 
     fn fault_digest(&self) -> u64 {
-        self.engine.fault_log().digest()
+        self.engine().fault_log().digest()
     }
 
     fn counters(&self) -> CounterFile {
-        self.engine.total_counters()
+        self.engine().total_counters()
     }
 
     fn metrics(&self) -> Metrics {
-        self.engine.metrics().clone()
+        self.engine().metrics().clone()
     }
 }
 
@@ -302,4 +435,25 @@ fn fleet_counters(cluster: &Cluster<EngineNode>) -> CounterFile {
         total.merge(&node.counters());
     }
     total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Lane;
+
+    #[test]
+    fn a_lane_panic_resurfaces_on_the_caller_with_its_message() {
+        let lane = Lane::<u64>::spawn();
+        lane.launch(Box::new(|| 7));
+        assert_eq!(lane.land(), 7);
+        lane.launch(Box::new(|| panic!("lane job failed at epoch {}", 3)));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lane.land()))
+            .expect_err("landing a panicked job re-raises its panic");
+        // `panic!` carries a `&str` or a `String`, depending on formatting.
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("lane job failed at epoch 3"));
+    }
 }

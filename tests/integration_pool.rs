@@ -1,14 +1,18 @@
-//! The execute-phase pool is owned by its engine: at `--threads 2` an
-//! engine keeps the same helper threads across chunked `run_to` calls and
-//! joins them when it drops, and its results equal the `--threads 1` run.
+//! Host threads are owned by what uses them. At `--threads 2` a single
+//! engine keeps the same execute-pool helpers across chunked `run_to`
+//! calls, and a fleet keeps one lane per node with no engine helpers;
+//! both join their threads when dropped, and both give the `--threads 1`
+//! results.
 //!
 //! This binary holds a single test on purpose: it counts the process's OS
 //! threads, which concurrent tests in the same binary would disturb.
 
 #![cfg(target_os = "linux")]
 
-use jas2004::{Engine, RunPlan, SutConfig};
+use jas2004::{Engine, EngineNode, RunPlan, SutConfig};
+use jas_cluster::{Cluster, ClusterConfig};
 use jas_simkernel::{SimDuration, SimTime};
+use jas_workload::{Driver, DriverConfig, Metrics};
 
 const ENGINES: u64 = 8;
 
@@ -78,6 +82,67 @@ fn run_chunked(threads: usize, mut during: impl FnMut()) -> Vec<(u64, u64)> {
         .collect()
 }
 
+const FLEET_NODES: usize = 3;
+
+/// Runs a 3-node fleet to the end in one-second `Cluster::run` chunks and
+/// returns its `(HPM, trace, fault)` digests. Calls `during` after every
+/// chunk while the fleet is alive.
+fn run_fleet_chunked(threads: usize, mut during: impl FnMut()) -> (u64, u64, u64) {
+    let nodes: Vec<EngineNode> = (1..=FLEET_NODES as u64)
+        .map(|seed| EngineNode::new(cfg(seed, threads), plan()))
+        .collect();
+    let cluster_cfg = ClusterConfig {
+        nodes: FLEET_NODES,
+        epoch: cfg(1, threads).quantum * 8,
+        seed: 1,
+        ..ClusterConfig::default()
+    };
+    let run = plan();
+    let lb_metrics = Metrics::new(run.throughput_bin, run.steady_start(), run.end());
+    let mut cluster = Cluster::new(cluster_cfg, nodes, lb_metrics);
+    let mut arrivals = Driver::new(DriverConfig::at_ir(40));
+    let mut t = SimTime::ZERO;
+    while t < run.end() {
+        t = (t + SimDuration::from_secs(1)).min(run.end());
+        cluster.run(&mut arrivals, t);
+        during();
+    }
+    cluster.finish();
+    assert_eq!(cluster.verdict().lost, 0);
+    (
+        cluster.hpm_digest(),
+        cluster.trace_digest(),
+        cluster.fault_digest(),
+    )
+}
+
+/// A fleet at `--threads 2` holds exactly one lane per node and no engine
+/// helpers, joins them all on drop, and matches `--threads 1`.
+fn fleet_lanes_are_reused_and_joined(host_cpus: usize) {
+    let lanes = if host_cpus > 1 { FLEET_NODES } else { 0 };
+    let start = os_threads();
+    let mut observed = Vec::new();
+    let parallel = run_fleet_chunked(2, || observed.push(os_threads()));
+    assert!(!observed.is_empty());
+    for (chunk, &n) in observed.iter().enumerate() {
+        assert_eq!(
+            n,
+            start + lanes,
+            "fleet thread count after chunk {chunk}: one lane per node, no engine helpers"
+        );
+    }
+    assert_eq!(
+        settle_to(start),
+        start,
+        "dropping the fleet must join every lane"
+    );
+    let serial = run_fleet_chunked(1, || {});
+    assert_eq!(
+        parallel, serial,
+        "fleet --threads 2 diverges from --threads 1"
+    );
+}
+
 #[test]
 fn pool_helpers_are_reused_and_joined() {
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -101,4 +166,5 @@ fn pool_helpers_are_reused_and_joined() {
     );
     let serial = run_chunked(1, || {});
     assert_eq!(parallel, serial, "--threads 2 diverges from --threads 1");
+    fleet_lanes_are_reused_and_joined(host_cpus);
 }
