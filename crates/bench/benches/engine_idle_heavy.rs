@@ -27,10 +27,6 @@ fn idle_cfg(sched: SchedMode) -> SutConfig {
     // A slow modeled clock keeps busy quanta cheap, so per-quantum fixed
     // costs dominate the host time.
     cfg.machine.frequency_hz = 250_000.0;
-    // Worker threads are the realistic operating point — and the thread
-    // scope spawned for every executed quantum is exactly the fixed cost
-    // that skipping an idle quantum avoids.
-    cfg.threads = 4;
     cfg.sched = sched;
     cfg
 }

@@ -1,8 +1,8 @@
-//! Wall-clock speedup of the two-phase parallel engine: the same seeded
-//! simulation executed serially (`threads = 1`) and with the parallel
-//! phase spread over the engine's execute pool (`threads = 2`). Results
-//! are bit-identical by construction (CI enforces this separately); this
-//! bench tracks the wall-clock payoff on `Engine::run_to_end`.
+//! Single-engine host speed: one seeded IR-30 simulation through
+//! `Engine::run_to_end`, reported as simulated cycles and micro-ops per
+//! host second. An engine always runs on one host thread (fleets
+//! parallelize by node lanes, see `scenario_flash_crowd`), so the row
+//! keeps its historical `threads=1` name as the single-thread baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use jas2004::{Engine, HpmEvent, RunPlan, SutConfig};
@@ -20,10 +20,8 @@ fn speedup_plan() -> RunPlan {
 
 /// Runs the scenario and reports `(simulated_cycles, micro_ops)` so the
 /// bench JSON records simulation throughput, not just wall time.
-fn run(threads: usize) -> (f64, f64) {
-    let mut cfg = SutConfig::at_ir(30);
-    cfg.threads = threads;
-    let mut engine = Engine::new(cfg, speedup_plan());
+fn run() -> (f64, f64) {
+    let mut engine = Engine::new(SutConfig::at_ir(30), speedup_plan());
     engine.run_to_end();
     black_box(engine.completed_requests());
     let totals = engine.total_counters();
@@ -34,20 +32,7 @@ fn run(threads: usize) -> (f64, f64) {
 }
 
 fn bench(c: &mut Criterion) {
-    c.bench_function("engine_run_to_end/threads=1", |b| {
-        b.iter_with_work(|| run(1))
-    });
-    // Two lanes (the caller plus one helper) fit any multi-CPU host; on a
-    // single-CPU host the pool clamps to the caller alone, so the row would
-    // only repeat threads=1.
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if host_cpus > 1 {
-        c.bench_function("engine_run_to_end/threads=2", |b| {
-            b.iter_with_work(|| run(2))
-        });
-    } else {
-        println!("engine_run_to_end/threads=2              skipped: host has 1 CPU");
-    }
+    c.bench_function("engine_run_to_end/threads=1", |b| b.iter_with_work(run));
 }
 
 criterion_group! {

@@ -5,7 +5,7 @@
 //! cargo run --release --bin jas2004 -- --ir 40 --figure 9
 //! jas2004 --scenario trade --figure 3
 //! jas2004 --checkpoint-at 60 --checkpoint-out mid.jckpt
-//! jas2004 --restore-from mid.jckpt --threads 4
+//! jas2004 --restore-from mid.jckpt
 //! jas2004 --fault-plan db-lock@120-180:0.5 --reduce --witness-out w.jwit
 //! ```
 

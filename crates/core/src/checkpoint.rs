@@ -6,8 +6,7 @@
 //! rebuilds an engine from the *same configuration* — config-derived
 //! structures (schemas, pool capacities, distribution tables) come from
 //! construction — then overlays the recorded mutable state, after which the
-//! engine evolves bit-identically to the original run at any `--threads`
-//! value.
+//! engine evolves bit-identically to the original run.
 //!
 //! The byte layout is specified in `docs/jckpt-format.md` and pinned by a
 //! format test in `crates/replay`; bump [`JCKPT_VERSION`] on any layout
@@ -39,8 +38,8 @@ const HEADER_WORDS: usize = 4;
 /// A fingerprint of everything about a [`SutConfig`] that shapes
 /// simulation results.
 ///
-/// `threads` is normalized out (results are bit-identical at every thread
-/// count, so a checkpoint from a `--threads 8` run must restore under
+/// `threads` is normalized out (it picks host threads, never simulation
+/// results, so a checkpoint from a `--threads 8` run restores under
 /// `--threads 1`), `host_prof` is normalized out (host self-profiling
 /// never enters simulation state), and `sched` is normalized out (both
 /// schedulers evolve the same state; a checkpoint taken under one restores

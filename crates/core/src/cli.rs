@@ -108,12 +108,11 @@ OPTIONS:
     --steady <SECONDS>   steady-state window (default 180)
     --ramp <SECONDS>     ramp-up excluded from statistics (default 20)
     --seed <N>           RNG seed (default: fixed project seed)
-    --threads <N>        host threads for per-core execution (default 1;
-                         clamped to the model's cores and the host's
-                         CPUs; results are identical for every value);
-                         in a fleet (--nodes > 1) on a multi-CPU host,
-                         any value above 1 means one lane thread per
-                         node, each running its engine inline
+    --threads <N>        host threads (default 1); in a fleet (--nodes > 1)
+                         on a multi-CPU host, any value above 1 runs one
+                         lane thread per node; a single engine always runs
+                         on one thread; results are identical for every
+                         value
     --sched <MODE>       quantum | event (default quantum); `event` runs
                          the discrete-event scheduler, which skips
                          provably idle quanta and produces bit-identical
@@ -160,8 +159,8 @@ CHECKPOINT / REPLAY (docs/jckpt-format.md):
                          --checkpoint-at)
     --restore-from <PATH>
                          resume a .jckpt instead of starting at tick zero;
-                         any --threads value restores bit-identically, but
-                         every other knob must fingerprint-match
+                         --threads may differ, but every other knob must
+                         fingerprint-match
     --record <PATH>      record the request stream to a .jrpl replay log
     --replay <PATH>      re-execute a .jrpl request stream in place of the
                          workload generator (same verdicts and digests)

@@ -100,9 +100,9 @@ pub struct SutConfig {
     /// rate over sim time. The flat default is byte-identical to the
     /// legacy constant-IR driver (same RNG draws, same digests).
     pub curve: Curve,
-    /// Host threads for the parallel (core-private) execution phase.
-    /// Clamped to the simulated core count; results are bit-identical for
-    /// every value — `1` runs the identical code path serially.
+    /// Host threads: above 1, a fleet runs one lane thread per node
+    /// (`crate::fleet`). A single engine always runs on one thread.
+    /// Results are bit-identical for every value.
     pub threads: usize,
     /// Fault injection and resilience tuning (empty plan = healthy run).
     pub faults: FaultsConfig,

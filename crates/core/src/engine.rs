@@ -10,38 +10,32 @@
 //! closed loop is what lets one simulation regenerate every figure of the
 //! paper at once.
 //!
-//! # Deterministic parallel execution
+//! # The phased round
 //!
-//! Within a quantum the engine repeats a two-phase round protocol:
+//! Within a quantum the engine repeats a three-phase round protocol:
 //!
-//! 1. **Plan (sequential).** In fixed core order, the scheduler assigns at
-//!    most one execution slice per core: the next compute segment of a
-//!    request task, or background JIT. Plan-step side effects (database
-//!    calls, allocations, locks) happen here, on one thread.
-//! 2. **Execute (parallel).** Each assigned slice runs its micro-op stream
-//!    against strictly core-private state ([`jas_cpu::CorePrivate`]): L1
-//!    caches, ERAT/TLB, branch predictors, prefetcher, HPM counters.
-//!    Shared-hierarchy traffic is recorded into a per-core ordered
-//!    [`MemEvent`] buffer and provisionally charged an L2-hit latency.
-//!    Slices share no mutable state, so at `--threads` > 1 they spread over
-//!    the engine's own persistent pool — or run inline, through the
-//!    identical code path, at 1. The pool's helper threads are spawned on
-//!    the first executed quantum and joined when the engine drops; the
-//!    calling thread runs its own share of every round, a round with a
-//!    single slice runs inline with no handoff, and an idle helper spins a
-//!    bounded number of tries before parking in a blocking receive.
-//! 3. **Reconcile (sequential).** In fixed core order, each core's event
-//!    buffer is drained through the shared L2/L3/MESI model
+//! 1. **Plan.** In fixed core order, the scheduler assigns at most one
+//!    execution slice per core: the next compute segment of a request
+//!    task, or background JIT. Plan-step side effects (database calls,
+//!    allocations, locks) happen here.
+//! 2. **Execute.** In core order, each assigned slice runs its micro-op
+//!    stream in place against strictly core-private state
+//!    ([`jas_cpu::CorePrivate`]): L1 caches, ERAT/TLB, branch predictors,
+//!    prefetcher, HPM counters. Shared-hierarchy traffic is recorded into a
+//!    per-core ordered [`MemEvent`] buffer and provisionally charged an L2-hit
+//!    latency.
+//! 3. **Reconcile.** In fixed core order, each core's event buffer is
+//!    drained through the shared L2/L3/MESI model
 //!    ([`jas_cpu::reconcile_core`]), charging the latency difference
 //!    between the provisional L2 hit and the true supplier back to the
 //!    core's budget. Task bookkeeping (step advancement, blocking,
 //!    completion) follows, again in core order.
 //!
-//! Because phase 2 touches no shared state and phases 1 and 3 are
-//! single-threaded in a fixed order, the simulation result is
-//! **bit-identical for every `--threads` value** — parallelism changes
-//! wall-clock time only. Stop-the-world GC runs sequentially (it is a
-//! global pause by definition).
+//! Each phase covers every core before the next one starts; this order
+//! defines the digests. Stop-the-world GC records and reconciles
+//! back-to-back (it is a global pause by definition). An engine runs on one
+//! host thread; a fleet runs its node engines concurrently on lanes
+//! (`crate::fleet`).
 
 use crate::config::{RunPlan, ScenarioKind, SchedMode, SutConfig};
 use crate::profiles::{profile_for, FootprintConfig};
@@ -63,7 +57,6 @@ use jas_workload::{
     JasScenario, Metrics, ReplayLog, ReplayScenario, RequestKind, Scenario, TradeScenario,
 };
 use std::collections::VecDeque;
-use std::sync::mpsc;
 
 fn comp_index(c: Component) -> usize {
     Component::ALL
@@ -143,184 +136,46 @@ enum SliceKind {
     Jit,
 }
 
-/// One core's assignment for a round: everything the parallel phase needs,
-/// *owned* — core-private machine state, the core's stream generators, and
-/// its event buffer all move into the job and come back in the result, so
-/// workers borrow nothing from the engine.
+/// One core's assignment for a round, planned in ascending core order.
 struct Slice {
     core: usize,
     kind: SliceKind,
     component: Component,
-    cp: CorePrivate,
-    gens: Vec<StreamGen>,
-    events: Vec<MemEvent>,
+    max_instr: f64,
+}
+
+/// Runs one slice in place to its cycle budget or instruction bound,
+/// against core-private state only; returns `(cycles used, instructions
+/// executed)`. GC slices take the same path.
+fn run_slice(
+    cp: &mut CorePrivate,
+    gen: &mut StreamGen,
+    events: &mut Vec<MemEvent>,
+    cost: &CostModel,
+    addr_map: AddressMap,
     cycles_budget: f64,
     max_instr: f64,
-    cost: CostModel,
-    addr_map: AddressMap,
-}
-
-/// A completed slice: the returned state plus what it consumed.
-struct SliceDone {
-    core: usize,
-    kind: SliceKind,
-    component: Component,
-    cp: CorePrivate,
-    gens: Vec<StreamGen>,
-    events: Vec<MemEvent>,
-    used: f64,
-    executed: f64,
-}
-
-/// Runs one slice to its budget or instruction bound against core-private
-/// state only. This is the *entire* parallel phase: the same function runs
-/// inline at `--threads 1` and on workers otherwise, so results cannot
-/// depend on the thread count.
-fn run_slice(mut s: Slice) -> SliceDone {
-    let gen = &mut s.gens[comp_index(s.component)];
+) -> (f64, f64) {
     let mut used = 0.0;
     let mut executed: u64 = 0;
     // Drain the generator's buffered blocks directly; the closure's return
     // value reproduces the former `while used < budget && executed < max`
     // pre-check (the initial check is the `if` guard, with `used == 0`).
-    if s.cycles_budget > 0.0 && s.max_instr > 0.0 {
-        let cp = &mut s.cp;
-        let events = &mut s.events;
-        let cost = s.cost;
-        let addr_map = s.addr_map;
-        let budget = s.cycles_budget;
+    if cycles_budget > 0.0 && max_instr > 0.0 {
         // For an integer count `k`, `k < max` ⟺ `k < ceil(max)` (no integer
         // lies in `[max, ceil(max))`), so the former f64 instruction-count
         // compare becomes an integer one. The saturating `as u64` cast keeps
         // the equivalence for out-of-range ceilings (the compare is then
         // always true, as with the unbounded f64).
-        let max_instr = s.max_instr.ceil() as u64;
+        let max_instr = max_instr.ceil() as u64;
         gen.drive(|ia, op| {
-            used += cp.exec_record(&cost, addr_map, ia, op, events);
+            used += cp.exec_record(cost, addr_map, ia, op, events);
             executed += 1;
-            used < budget && executed < max_instr
+            used < cycles_budget && executed < max_instr
         });
     }
-    SliceDone {
-        core: s.core,
-        kind: s.kind,
-        component: s.component,
-        cp: s.cp,
-        gens: s.gens,
-        events: s.events,
-        used,
-        // Exact: slice instruction counts are far below 2^53.
-        executed: executed as f64,
-    }
-}
-
-/// `try_recv` attempts before a waiting thread parks in a blocking `recv`.
-/// An iteration count, not a deadline: the engine reads no host clock.
-/// About 0.8 ms on the 2-CPU development host, longer than the sequential
-/// plan/reconcile gap between rounds, so back-to-back rounds hand off
-/// without an OS wake-up.
-const SPIN_TRIES: u32 = 20_000;
-
-/// Receives from `rx`, spinning for [`SPIN_TRIES`] attempts before
-/// parking. `None` once the sending side is gone.
-fn spin_recv<T>(rx: &mpsc::Receiver<T>) -> Option<T> {
-    for _ in 0..SPIN_TRIES {
-        match rx.try_recv() {
-            Ok(v) => return Some(v),
-            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-            Err(mpsc::TryRecvError::Disconnected) => return None,
-        }
-    }
-    rx.recv().ok()
-}
-
-/// One long-lived execute-phase helper thread and its two queues.
-struct ExecHelper {
-    jobs: mpsc::Sender<Slice>,
-    results: mpsc::Receiver<SliceDone>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-/// The engine's persistent execute-phase pool: helper threads live as long
-/// as the engine, and the calling thread runs its own share of every round
-/// as lane 0. Results come back in any order and are re-indexed by core
-/// before the sequential reconcile, so the lane a slice ran on cannot reach
-/// simulation state.
-struct ExecPool {
-    helpers: Vec<ExecHelper>,
-}
-
-impl ExecPool {
-    /// A pool for `workers` execute lanes, the caller included. Helpers are
-    /// clamped to the host's CPUs as well: a lane without a CPU of its own
-    /// only adds handoffs.
-    fn new(workers: usize) -> ExecPool {
-        let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let helpers = (0..workers.min(host_cpus).saturating_sub(1))
-            .map(|i| {
-                let (jobs, job_rx) = mpsc::channel::<Slice>();
-                let (done_tx, results) = mpsc::channel::<SliceDone>();
-                let handle = std::thread::Builder::new()
-                    .name(format!("jas-exec-{i}"))
-                    .spawn(move || {
-                        while let Some(slice) = spin_recv(&job_rx) {
-                            if done_tx.send(run_slice(slice)).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn execute-phase helper thread");
-                ExecHelper {
-                    jobs,
-                    results,
-                    handle,
-                }
-            })
-            .collect();
-        ExecPool { helpers }
-    }
-
-    /// Executes one round's slices. A single slice runs inline with no
-    /// handoff; otherwise slice `k` of the round runs on lane
-    /// `k mod lanes`.
-    fn run(&mut self, slices: Vec<Slice>) -> Vec<SliceDone> {
-        let n = slices.len();
-        if n <= 1 {
-            return slices.into_iter().map(run_slice).collect();
-        }
-        let lanes = self.helpers.len() + 1;
-        let mut own = Vec::with_capacity(n.div_ceil(lanes));
-        for (pos, slice) in slices.into_iter().enumerate() {
-            match pos % lanes {
-                0 => own.push(slice),
-                lane => self.helpers[lane - 1]
-                    .jobs
-                    .send(slice)
-                    .expect("execute-phase helper alive"),
-            }
-        }
-        let mut done: Vec<SliceDone> = own.into_iter().map(run_slice).collect();
-        for (lane, helper) in (1..).zip(&self.helpers) {
-            for _ in (lane..n).step_by(lanes) {
-                done.push(spin_recv(&helper.results).expect("execute-phase helper result"));
-            }
-        }
-        done
-    }
-}
-
-impl Drop for ExecPool {
-    fn drop(&mut self) {
-        for ExecHelper { jobs, handle, .. } in self.helpers.drain(..) {
-            // Closing the job queue ends the helper's receive loop.
-            drop(jobs);
-            if let Err(panic) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
+    // Exact: slice instruction counts are far below 2^53.
+    (used, executed as f64)
 }
 
 /// The coupled system-under-test simulation.
@@ -349,9 +204,9 @@ pub struct Engine {
     pending_workorders: u64,
     gc: Option<GcPause>,
     jit_backlog_modeled: f64,
-    /// One generator per `(core, component)` pair, row-per-core so a whole
-    /// row can move into that core's execution slice. Cores carry distinct
-    /// salts so their thread-local data does not falsely share.
+    /// One generator per `(core, component)` pair, indexed
+    /// `[core][component]`. Cores carry distinct salts so their
+    /// thread-local data does not falsely share.
     gens: Vec<Vec<StreamGen>>,
     /// Per-core ordered buffers of recorded shared-hierarchy events,
     /// retained across rounds to avoid reallocation.
@@ -400,11 +255,6 @@ pub struct Engine {
     wakes: WakeHeap,
     /// Scheduler-occupancy counters (`--figure sched`).
     sched_stats: SchedStats,
-    /// Execute-phase helper threads, built on the first executed quantum
-    /// at `--threads` > 1 and joined when the engine drops. Host
-    /// machinery, not simulation state. Never built for a fleet node on a
-    /// lane: its engine runs with `threads = 1` (`crate::fleet`).
-    exec_pool: Option<ExecPool>,
 }
 
 // A fleet node hands its engine to a lane thread for each LB epoch
@@ -445,8 +295,7 @@ impl Engine {
         };
         let cores = cfg.machine.topology.cores();
         // Fork order is component-major (stable across layout changes);
-        // storage is row-per-core so a core's whole generator row can move
-        // into its execution slice.
+        // storage is row-per-core.
         let mut gens: Vec<Vec<StreamGen>> = (0..cores).map(|_| Vec::new()).collect();
         for &c in Component::ALL.iter() {
             for (core, row) in gens.iter_mut().enumerate() {
@@ -531,7 +380,6 @@ impl Engine {
             sched_event,
             wakes: WakeHeap::new(),
             sched_stats: SchedStats::default(),
-            exec_pool: None,
         };
         // Pre-warm the session store so the live set starts near its
         // steady-state target (the paper measures after a long warm-up; a
@@ -854,22 +702,9 @@ impl Engine {
             }
         }
 
-        // 3. Run the cores through plan/execute/reconcile rounds, on the
-        // engine's helper threads when configured (results are identical
-        // either way; see the module docs).
-        let workers = self.exec_threads();
-        if workers > 1 {
-            let mut pool = self
-                .exec_pool
-                .take()
-                .unwrap_or_else(|| ExecPool::new(workers));
-            self.run_rounds(&mut |slices| pool.run(slices));
-            self.exec_pool = Some(pool);
-        } else {
-            let mut dispatch =
-                |slices: Vec<Slice>| slices.into_iter().map(run_slice).collect::<Vec<_>>();
-            self.run_rounds(&mut dispatch);
-        }
+        // 3. Run the cores through plan/execute/reconcile rounds (see the
+        // module docs).
+        self.run_rounds();
 
         // 4. Advance the clock and feed the samplers.
         self.prof(HostSection::Instruments);
@@ -958,20 +793,8 @@ impl Engine {
         }
     }
 
-    /// Execute lanes for the parallel phase (the calling thread plus
-    /// helpers), clamped to the core count (extra lanes would only idle).
-    /// [`ExecPool::new`] also clamps to the host's CPUs.
-    fn exec_threads(&self) -> usize {
-        self.cfg
-            .threads
-            .max(1)
-            .min(self.cfg.machine.topology.cores())
-    }
-
-    /// Runs one quantum's rounds: sequential planning and reconciliation
-    /// around a `dispatch`-mediated execution phase. `dispatch` receives
-    /// owned slices and returns them completed, in any order.
-    fn run_rounds(&mut self, dispatch: &mut dyn FnMut(Vec<Slice>) -> Vec<SliceDone>) {
+    /// Runs one quantum's plan/execute/reconcile rounds.
+    fn run_rounds(&mut self) {
         let quantum = self.cfg.quantum;
         let cores = self.cfg.machine.topology.cores();
         let budget = self.cfg.machine.frequency_hz * quantum.as_secs_f64();
@@ -981,9 +804,9 @@ impl Engine {
         let addr_map = self.cfg.machine.addr_map;
         let topo = self.cfg.machine.topology;
 
-        // Detach the core-private halves so slices can own them.
-        let mut core_states: Vec<Option<CorePrivate>> =
-            self.machine.take_cores().into_iter().map(Some).collect();
+        // Detach the core-private halves from the shared hierarchy, so each
+        // reconcile can borrow both.
+        let mut core_states = self.machine.take_cores();
         let mut cycles_left = vec![budget; cores];
         let mut user = vec![0.0; cores];
         let mut sys = vec![0.0; cores];
@@ -1008,9 +831,12 @@ impl Engine {
                         done[core] = true;
                         continue;
                     }
-                    let mut cp = core_states[core].take().expect("core attached");
-                    let used = self.run_gc_slice(core, &mut cp, cycles_left[core], in_steady);
-                    core_states[core] = Some(cp);
+                    let used = self.run_gc_slice(
+                        core,
+                        &mut core_states[core],
+                        cycles_left[core],
+                        in_steady,
+                    );
                     user[core] += used;
                     cycles_left[core] -= used;
                 }
@@ -1021,7 +847,7 @@ impl Engine {
                 }
             }
 
-            // Phase 1 (sequential): assign at most one slice per core.
+            // Phase 1: assign at most one slice per core.
             self.prof(HostSection::Plan);
             let mut slices: Vec<Slice> = Vec::new();
             let mut jit_assigned = false;
@@ -1061,13 +887,7 @@ impl Engine {
                         core,
                         kind,
                         component,
-                        cp: core_states[core].take().expect("core attached"),
-                        gens: std::mem::take(&mut self.gens[core]),
-                        events: std::mem::take(&mut self.event_bufs[core]),
-                        cycles_budget: cycles_left[core],
                         max_instr,
-                        cost,
-                        addr_map,
                     });
                 }
             }
@@ -1078,56 +898,57 @@ impl Engine {
                 break;
             }
 
-            // Phase 2: execute — on workers or inline, identically.
+            // Phase 2: execute every slice in place, in core order.
             self.prof(HostSection::Execute);
-            let results = dispatch(slices);
+            let results: Vec<(f64, f64)> = slices
+                .iter()
+                .map(|s| {
+                    run_slice(
+                        &mut core_states[s.core],
+                        &mut self.gens[s.core][comp_index(s.component)],
+                        &mut self.event_bufs[s.core],
+                        &cost,
+                        addr_map,
+                        cycles_left[s.core],
+                        s.max_instr,
+                    )
+                })
+                .collect();
 
-            // Phase 3 (sequential, fixed core order): reconcile recorded
-            // shared-hierarchy traffic, then task bookkeeping.
+            // Phase 3 (core order): reconcile recorded shared-hierarchy
+            // traffic, then task bookkeeping.
             self.prof(HostSection::Reconcile);
-            let mut slots: Vec<Option<SliceDone>> = (0..cores).map(|_| None).collect();
-            for r in results {
-                let core = r.core;
-                slots[core] = Some(r);
-            }
-            for core in 0..cores {
-                let Some(r) = slots[core].take() else {
-                    continue;
-                };
-                let mut cp = r.cp;
-                let mut events = r.events;
+            for (s, (used, executed)) in slices.iter().zip(results) {
+                let core = s.core;
                 let correction = jas_cpu::reconcile_core(
-                    &mut cp,
+                    &mut core_states[core],
                     topo.chip_of_core(core),
                     &cost,
                     self.machine.mem_mut(),
-                    &mut events,
+                    &mut self.event_bufs[core],
                 );
-                core_states[core] = Some(cp);
-                self.gens[core] = r.gens;
-                self.event_bufs[core] = events;
-                let used = r.used + correction;
+                let used = used + correction;
                 cycles_left[core] -= used;
-                match r.kind {
+                match s.kind {
                     SliceKind::Jit => {
-                        self.jit_backlog_modeled -= r.executed;
+                        self.jit_backlog_modeled -= executed;
                         user[core] += used;
-                        if in_steady && r.executed >= 1.0 {
+                        if in_steady && executed >= 1.0 {
                             if let Some(m) = self.sample_method(Component::JitCompiler) {
-                                self.tprof.record(self.jvm.registry(), m, r.executed as u64);
+                                self.tprof.record(self.jvm.registry(), m, executed as u64);
                             }
                         }
                     }
                     SliceKind::Task(t) => {
-                        self.tasks[t].remaining_modeled -= r.executed;
+                        self.tasks[t].remaining_modeled -= executed;
                         if in_steady {
-                            if let Some(m) = self.sample_method(r.component) {
-                                self.tprof.record(self.jvm.registry(), m, r.executed as u64);
+                            if let Some(m) = self.sample_method(s.component) {
+                                self.tprof.record(self.jvm.registry(), m, executed as u64);
                                 let work = self.jvm.record_invocations(m, 10);
                                 self.jit_backlog_modeled += work / self.cfg.instruction_scale();
                             }
                         }
-                        if r.component == Component::Kernel {
+                        if s.component == Component::Kernel {
                             sys[core] += used;
                         } else {
                             user[core] += used;
@@ -1149,12 +970,7 @@ impl Engine {
         }
 
         // Re-attach the cores and account utilization.
-        self.machine.restore_cores(
-            core_states
-                .into_iter()
-                .map(|c| c.expect("core attached"))
-                .collect(),
-        );
+        self.machine.restore_cores(core_states);
         for core in 0..cores {
             // A segment cut off by the quantum stays with its task; the
             // task rejoins its affinity queue for the next quantum.
@@ -1337,9 +1153,8 @@ impl Engine {
     }
 
     /// Executes GC work on `core` (whose private state is detached into
-    /// `cp`); returns cycles used. GC records and reconciles back-to-back —
-    /// it always runs in the sequential phase, where the shared hierarchy
-    /// is free.
+    /// `cp`); returns cycles used. GC records and reconciles back-to-back:
+    /// it runs outside the phased round, where the shared hierarchy is free.
     // jas-lint: allow(D012, reason = "only runs while gc is Some, so the quantum is already non-idle; finishing GC moves toward idle")
     fn run_gc_slice(
         &mut self,
@@ -1351,31 +1166,22 @@ impl Engine {
         let cost = self.cfg.machine.cost;
         let addr_map = self.cfg.machine.addr_map;
         let chip = self.cfg.machine.topology.chip_of_core(core);
-        let (used_recorded, executed, remaining) = {
-            let Some(gc) = self.gc.as_mut() else {
-                return 0.0;
-            };
-            let gen = &mut self.gens[core][comp_index(Component::Gc)];
-            let events = &mut self.event_bufs[core];
-            let remaining = gc.remaining_modeled;
-            let mut used = 0.0;
-            let mut executed: u64 = 0;
-            // Same pre-check semantics as the former `while` loop; the GC's
-            // remaining work only changes after the slice, so the bound is
-            // loop-invariant and safe to copy out. The integer count compare
-            // is exact as in `run_slice`: `k < remaining` ⟺ `k < ceil(remaining)`.
-            if cycles_budget > 0.0 && remaining > 0.0 {
-                let max_instr = remaining.ceil() as u64;
-                gen.drive(|ia, op| {
-                    used += cp.exec_record(&cost, addr_map, ia, op, events);
-                    executed += 1;
-                    used < cycles_budget && executed < max_instr
-                });
-            }
-            let executed = executed as f64;
-            gc.remaining_modeled -= executed;
-            (used, executed, gc.remaining_modeled)
+        let Some(gc) = self.gc.as_mut() else {
+            return 0.0;
         };
+        // The GC's remaining work only changes after the slice, so it bounds
+        // the slice like a task segment's remaining instructions.
+        let (used_recorded, executed) = run_slice(
+            cp,
+            &mut self.gens[core][comp_index(Component::Gc)],
+            &mut self.event_bufs[core],
+            &cost,
+            addr_map,
+            cycles_budget,
+            gc.remaining_modeled,
+        );
+        gc.remaining_modeled -= executed;
+        let remaining = gc.remaining_modeled;
         let correction = jas_cpu::reconcile_core(
             cp,
             chip,
@@ -2373,8 +2179,7 @@ impl Engine {
         // Skipped on purpose: cfg/run (identity — must match at restore),
         // method_cdf (config-derived), event_bufs (drained every quantum),
         // faults_active/trace_active/sched_event (cached config flags),
-        // hostprof (host wall-clock; never simulation state), exec_pool
-        // (host helper threads; a restored engine builds its own), external
+        // hostprof (host wall-clock; never simulation state), external
         // (cluster snapshots are taken only at epoch boundaries, where
         // every dispatched arrival has been admitted and the queue is
         // provably empty — `next_arrival` then persists as the sentinel).
@@ -2700,38 +2505,6 @@ mod tests {
         assert_eq!(a.jvm().gc_count(), b.jvm().gc_count());
     }
 
-    /// Thread count must be invisible in the results: every per-core HPM
-    /// counter is bit-identical between serial and parallel execution.
-    #[test]
-    fn threads_do_not_change_results() {
-        let serial = {
-            let mut e = quick_engine();
-            e.run_to_end();
-            e
-        };
-        for threads in [2usize, 4, 8] {
-            let mut cfg = SutConfig::at_ir(10);
-            cfg.machine.frequency_hz = 100_000.0;
-            cfg.jvm.heap.capacity = 8 << 20;
-            cfg.jvm.live_target = 2 << 20;
-            cfg.threads = threads;
-            let mut e = Engine::new(cfg, RunPlan::quick());
-            e.run_to_end();
-            assert_eq!(
-                serial.completed_requests(),
-                e.completed_requests(),
-                "completions diverge at --threads {threads}"
-            );
-            for core in 0..serial.machine().cores() {
-                assert_eq!(
-                    serial.machine().counters(core),
-                    e.machine().counters(core),
-                    "core {core} counters diverge at --threads {threads}"
-                );
-            }
-        }
-    }
-
     /// The event scheduler must be an exact drop-in: every state section
     /// except its own heap/counters is bit-identical to the quantum
     /// scheduler's at end of run.
@@ -2829,24 +2602,6 @@ mod tests {
             !e.fault_monitor().active_series().is_empty(),
             "the fault monitor saw nothing move"
         );
-    }
-
-    #[test]
-    fn faulted_runs_are_thread_invariant() {
-        let serial = {
-            let mut e = Engine::new(storm_config(), RunPlan::quick());
-            e.run_to_end();
-            e
-        };
-        let mut cfg = storm_config();
-        cfg.threads = 4;
-        let mut parallel = Engine::new(cfg, RunPlan::quick());
-        parallel.run_to_end();
-        assert_eq!(serial.fault_log().digest(), parallel.fault_log().digest());
-        assert_eq!(serial.fault_counters(), parallel.fault_counters());
-        assert_eq!(serial.completed_requests(), parallel.completed_requests());
-        assert_eq!(serial.aborted_requests(), parallel.aborted_requests());
-        assert_eq!(serial.steady_counters(), parallel.steady_counters());
     }
 
     #[test]

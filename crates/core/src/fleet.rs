@@ -112,9 +112,8 @@ impl<T: Send + 'static> Drop for Lane<T> {
 /// the nodes of one LB epoch run concurrently, and every other access
 /// first *lands* the engine with a blocking receive. The LB reads nodes
 /// only after the epoch's `run_to` calls, in node order, so it sees
-/// exactly the state a serial run would give it. The engine inside a
-/// lane runs its execute phase inline: the lanes are the fleet's
-/// parallelism.
+/// exactly the state a serial run would give it. The lanes are the only
+/// host parallelism: every engine runs on one thread.
 pub struct EngineNode {
     cfg: SutConfig,
     run: RunPlan,
@@ -133,12 +132,9 @@ impl EngineNode {
     /// reduced to local windows (`FaultPlan::local_only`) — fleet
     /// windows are the LB's business.
     #[must_use]
-    pub fn new(mut cfg: SutConfig, run: RunPlan) -> EngineNode {
+    pub fn new(cfg: SutConfig, run: RunPlan) -> EngineNode {
         let host_cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let use_lane = cfg.threads > 1 && host_cpus > 1;
-        if use_lane {
-            cfg.threads = 1;
-        }
         let mut engine = Engine::new(cfg.clone(), run);
         engine.enable_external_arrivals();
         EngineNode {

@@ -17,7 +17,7 @@
 //! and returns the latency correction to charge back. Because the
 //! recording phase touches no shared state, any number of cores may record
 //! concurrently and the end state is bit-identical to running them one
-//! after another — the invariant the engine's `--threads` knob relies on.
+//! after another — the invariant the engine's phased round relies on.
 //!
 //! [`Machine::exec`] remains the immediate single-op path (record one op,
 //! reconcile at once) for unit tests and microbenchmarks.
@@ -647,10 +647,10 @@ impl Machine {
         }
     }
 
-    /// Detaches the per-core private halves so a scheduler can move them
-    /// into worker threads (ownership transfer — no copying). The machine
-    /// keeps the shared hierarchy; [`Machine::restore_cores`] must be
-    /// called before any counter read or [`Machine::exec`].
+    /// Detaches the per-core private halves so a scheduler can borrow them
+    /// alongside the shared hierarchy (ownership transfer — no copying).
+    /// The machine keeps the shared hierarchy; [`Machine::restore_cores`]
+    /// must be called before any counter read or [`Machine::exec`].
     ///
     /// # Panics
     ///

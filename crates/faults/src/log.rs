@@ -167,8 +167,8 @@ impl FaultLog {
     }
 
     /// FNV-1a digest over `(at, code)` of every event — the fingerprint
-    /// the determinism suite and the CI `faults-smoke` job compare across
-    /// thread counts.
+    /// the determinism suite and the CI `sched-smoke` job compare across
+    /// runs.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

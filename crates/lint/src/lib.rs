@@ -10,11 +10,11 @@
 //!   that historically break reproducibility — unordered maps in sim
 //!   state, wall-clock reads, relaxed atomics, silent counter truncation,
 //!   unjustified `unsafe`, contextless panics.
-//! - **Semantic rules** (D009–D012, [`rules_semantic`]): parse every file
-//!   into items ([`parser`]), index them across the workspace
+//! - **Semantic rules** (D009, D011, D012; [`rules_semantic`]): parse every
+//!   file into items ([`parser`]), index them across the workspace
 //!   ([`symbols`]), and check the cross-file invariants — Persist field
-//!   coverage, parallel-phase write discipline, counter digest coverage,
-//!   and wake registration for idle-predicate state.
+//!   coverage, counter digest coverage, and wake registration for
+//!   idle-predicate state.
 //!
 //! The tool is entirely self-contained — hand-rolled lexer, parser,
 //! TOML-subset config parser, JSON/SARIF writers, cache format — so the
@@ -41,7 +41,7 @@ use std::path::Path;
 
 /// Bumped whenever lexing, parsing, or any rule changes behaviour, so
 /// stale cache entries from an older binary can never leak findings.
-pub const RULES_REV: u32 = 3;
+pub const RULES_REV: u32 = 4;
 
 /// A token-rule hit with an owned rule id, so analyses round-trip through
 /// the [`cache`] without needing the `'static` rule table.

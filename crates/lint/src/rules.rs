@@ -34,8 +34,8 @@ pub struct RuleHit {
 /// rules ([`crate::rules_semantic`]), and the meta rules the driver
 /// raises itself.
 pub const ALL_RULES: &[&str] = &[
-    "D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008", "D009", "D010", "D011", "D012",
-    "D013", "S000", "S001",
+    "D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008", "D009", "D011", "D012", "D013",
+    "S000", "S001",
 ];
 
 /// One-line description per rule id, for `--sarif` rule metadata and docs.
@@ -54,10 +54,6 @@ pub const RULE_SUMMARIES: &[(&str, &str)] = &[
     (
         "D009",
         "Persist impl does not visit every named field of its type",
-    ),
-    (
-        "D010",
-        "fn reachable from the parallel plan/execute phase takes &mut of a shared-hierarchy type",
     ),
     (
         "D011",

@@ -1,23 +1,21 @@
-//! The cross-file semantic rules, D009–D012, over the parsed
+//! The cross-file semantic rules, D009, D011 and D012, over the parsed
 //! [`Workspace`].
 //!
 //! Unlike D001–D008 these rules see *structure* — struct fields, impl
 //! blocks, call graphs — so they can enforce the invariants PR 6 and PR 7
-//! left to review: checkpoints that carry every field, a parallel phase
-//! that cannot write shared state, counters that cannot dodge the digest
-//! gates, and idle-predicate state whose mutations are audited against
-//! the wake heap.
+//! left to review: checkpoints that carry every field, counters that
+//! cannot dodge the digest gates, and idle-predicate state whose mutations
+//! are audited against the wake heap.
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | D009 | every named field of a type with `impl Persist` is visited in its `persist` body — a field added without a visit silently vanishes from `.jckpt` checkpoints |
-//! | D010 | no function reachable from the plan/execute parallel phase (`exec_record` / `run_slice`) takes `&mut` of a shared-hierarchy type — a race by construction |
 //! | D011 | counter structs (`*Counters` / `*Stats`) are folded into a digest path: an `impl Persist`, or a `values`/`digest` fn mentioning every field |
 //! | D012 | in a file defining the idle predicate (`quantum_is_idle`), a fn mutating predicate-watched state either registers a wake-up (directly or via a callee) or carries an audited allow |
 
 use crate::parser::{FnDef, Owner};
 use crate::symbols::Workspace;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One raw semantic-rule match, before severity/suppression filtering.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,15 +30,6 @@ pub struct SemHit {
     pub message: String,
 }
 
-/// Shared-hierarchy types the parallel phase must not take `&mut` to.
-/// `MemorySystem` is the shared cache/coherence half itself;
-/// `MachineParts` and `Machine` embed it.
-const SHARED_TYPES: &[&str] = &["MemorySystem", "MachineParts", "Machine"];
-
-/// Entry points of the plan/execute parallel phase: these run concurrently
-/// across cores, so everything they can reach is phase-constrained.
-const PHASE_ROOTS: &[&str] = &["exec_record", "run_slice"];
-
 /// The event scheduler's idle predicate; the file defining it is the
 /// scope of D012.
 const IDLE_PREDICATE: &str = "quantum_is_idle";
@@ -54,7 +43,6 @@ const WAKE_REGISTRARS: &[&str] = &["rebuild_wakes", "register_standing_wakes"];
 pub fn check(ws: &Workspace) -> Vec<SemHit> {
     let mut hits = Vec::new();
     d009_persist_coverage(ws, &mut hits);
-    d010_phase_discipline(ws, &mut hits);
     d011_digest_coverage(ws, &mut hits);
     d012_wake_registration(ws, &mut hits);
     hits.sort_by(|a, b| {
@@ -95,55 +83,6 @@ fn d009_persist_coverage(ws: &Workspace, hits: &mut Vec<SemHit>) {
                          missing from `.jckpt` checkpoints — persist it, or document the \
                          exclusion with `jas-lint: allow(D009, reason = \"…\")`",
                         f.name, field.name
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// D010: build the call graph reachable from [`PHASE_ROOTS`] (callee-name
-/// resolution: an edge to every workspace fn of that name — an
-/// over-approximation that errs loud) and flag any reachable fn taking
-/// `&mut` of a [`SHARED_TYPES`] type. Reconcile-phase code is not
-/// reachable from the roots, so `reconcile_core(&mut MemorySystem)` stays
-/// legal.
-fn d010_phase_discipline(ws: &Workspace, hits: &mut Vec<SemHit>) {
-    // Name -> fns index for the BFS.
-    let mut by_name: BTreeMap<&str, Vec<(&str, &FnDef)>> = BTreeMap::new();
-    for (rel, f) in ws.fns() {
-        by_name.entry(f.name.as_str()).or_default().push((rel, f));
-    }
-    if !PHASE_ROOTS.iter().any(|r| by_name.contains_key(r)) {
-        return;
-    }
-    let mut queue: Vec<&str> = PHASE_ROOTS.to_vec();
-    let mut seen: BTreeSet<&str> = queue.iter().copied().collect();
-    let mut reachable: Vec<(&str, &FnDef)> = Vec::new();
-    while let Some(name) = queue.pop() {
-        for &(rel, f) in by_name.get(name).into_iter().flatten() {
-            reachable.push((rel, f));
-            for callee in &f.body.callees {
-                if by_name.contains_key(callee.as_str()) && seen.insert(callee.as_str()) {
-                    queue.push(callee.as_str());
-                }
-            }
-        }
-    }
-    for (rel, f) in reachable {
-        for p in &f.params {
-            if p.mut_ref && SHARED_TYPES.contains(&p.base_type.as_str()) {
-                hits.push(SemHit {
-                    rule: "D010",
-                    rel: rel.to_string(),
-                    line: f.line,
-                    message: format!(
-                        "`{}` takes `&mut {}` and is reachable from the parallel plan/execute \
-                         phase (roots: {}): shared-hierarchy mutation belongs to the reconcile \
-                         phase — only `CorePrivate` state may be written here",
-                        f.name,
-                        p.base_type,
-                        PHASE_ROOTS.join("/"),
                     ),
                 });
             }
@@ -367,39 +306,6 @@ mod tests {
              impl<T: Persist> Persist for Vec<T> { fn persist(&mut self, io: &mut dyn StateIo) {} }\n",
         )]);
         assert!(check(&w).is_empty());
-    }
-
-    #[test]
-    fn d010_flags_shared_mut_reachable_from_the_record_phase() {
-        let w = ws(&[(
-            "crates/cpu/src/m.rs",
-            "impl CorePrivate {\n    pub fn exec_record(&mut self, op: u64) { helper(op); }\n}\n\
-             fn helper(op: u64) { poke(op); }\n\
-             fn poke(mem: &mut MemorySystem) { mem.touch(); }\n\
-             pub fn reconcile_core(core: &mut CorePrivate, mem: &mut MemorySystem) {}\n",
-        )]);
-        let hits = check(&w);
-        assert_eq!(rules_of(&hits), [("D010", "crates/cpu/src/m.rs", 5)]);
-        assert!(hits[0].message.contains("MemorySystem"));
-    }
-
-    #[test]
-    fn d010_reconcile_phase_stays_legal_without_roots_reaching_it() {
-        let w = ws(&[(
-            "crates/cpu/src/m.rs",
-            "impl CorePrivate {\n    pub fn exec_record(&mut self, op: u64) { self.l1d.access(op); }\n}\n\
-             pub fn reconcile_core(core: &mut CorePrivate, mem: &mut MemorySystem) { mem.load(0); }\n",
-        )]);
-        assert!(check(&w).is_empty());
-    }
-
-    #[test]
-    fn d010_silent_when_no_roots_exist() {
-        let w = ws(&[(
-            "crates/x/src/a.rs",
-            "fn poke(mem: &mut MemorySystem) { mem.touch(); }\n",
-        )]);
-        assert!(check(&w).is_empty(), "no parallel phase, no rule");
     }
 
     #[test]

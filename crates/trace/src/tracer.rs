@@ -164,8 +164,8 @@ impl Tracer {
     }
 
     /// FNV-1a `TRACE_DIGEST` over `(at, trace_id, code, arg)` of every
-    /// event — the fingerprint the CI `trace-smoke` job diffs across
-    /// `--threads` values.
+    /// event — the fingerprint the CI `replay-smoke` and `sched-smoke` jobs
+    /// diff across runs.
     #[must_use]
     pub fn digest(&self) -> u64 {
         digest_of(&self.events)

@@ -3,12 +3,11 @@
 //! it out on retries, redelivery, and the DB circuit breaker.
 //!
 //! Prints the per-IR degraded-mode verdicts plus two machine-readable
-//! digest lines (`FAULT_DIGEST=`, `HPM_DIGEST=`) that the CI
-//! `faults-smoke` job diffs across `--threads` values: a faulted run is
-//! bit-identical no matter how many host threads execute it.
+//! digest lines (`FAULT_DIGEST=`, `HPM_DIGEST=`) to diff across code
+//! changes: a faulted run is bit-identical for a given build and seed.
 //!
 //! ```sh
-//! cargo run --release --example fault_storm -- --threads 4
+//! cargo run --release --example fault_storm
 //! ```
 
 use jas2004::{figures, report, run_artifacts_from, Engine, FaultPlan, RunPlan, SutConfig};
@@ -33,30 +32,6 @@ fn hpm_digest(e: &Engine) -> u64 {
 }
 
 fn main() {
-    let mut threads = 1usize;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                threads = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads requires a positive integer");
-                        std::process::exit(1);
-                    });
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag '{other}' (only --threads <N>)");
-                std::process::exit(1);
-            }
-        }
-        i += 1;
-    }
-
     let plan = RunPlan {
         ramp_up: SimDuration::from_secs(5),
         steady: SimDuration::from_secs(30),
@@ -67,7 +42,7 @@ fn main() {
     let storm = "db-lock@12-24:0.35,db-io@14-24:0.25,jms-redeliver@12-24:0.5,\
                  jms-dup@12-24:0.3,pool-seize@15-24:0.6,gc-storm@12-24:0.08";
 
-    println!("fault storm sweep ({threads} host thread(s), storm at t=12..24s)");
+    println!("fault storm sweep (storm at t=12..24s)");
     println!("  IR    JOPS  retries  errors  dead-letters  breaker-opens  verdict");
     let mut fault_digest = 0xcbf2_9ce4_8422_2325u64;
     let mut machine_digest = 0xcbf2_9ce4_8422_2325u64;
@@ -80,7 +55,6 @@ fn main() {
     for ir in [10, 25, 40] {
         let mut cfg = SutConfig::at_ir(ir);
         cfg.machine.frequency_hz = 500_000.0;
-        cfg.threads = threads;
         cfg.faults.plan = FaultPlan::parse(storm).expect("storm spec parses");
         let mut engine = Engine::new(cfg.clone(), plan);
         engine.run_to_end();
@@ -110,7 +84,7 @@ fn main() {
             println!();
         }
     }
-    // Machine-readable lines for the CI faults-smoke diff.
+    // Machine-readable lines for diffing runs.
     println!("FAULT_DIGEST={fault_digest:#018x}");
     println!("HPM_DIGEST={machine_digest:#018x}");
 }

@@ -7,14 +7,14 @@
 //!
 //! ```sh
 //! cargo run --release --example ir_sweep
-//! cargo run --release --example ir_sweep -- --quick --trace all --threads 4
+//! cargo run --release --example ir_sweep -- --quick --trace all
 //! ```
 //!
 //! With `--trace`, every point records the requested event categories and
 //! the sweep prints one `TRACE_DIGEST=` line folding the per-point digests
-//! together — bit-identical at any `--threads`, which CI's trace-smoke job
-//! checks by diffing the line across thread counts. `--trace-out PATH`
-//! additionally exports the final point's trace as chrome://tracing JSON.
+//! together, which the nightly trace-smoke job checks for. `--trace-out
+//! PATH` additionally exports the final point's trace as chrome://tracing
+//! JSON.
 
 use jas2004::{figures, run_experiment, RunPlan, SutConfig, TraceSpec};
 use jas_simkernel::SimDuration;
@@ -31,9 +31,8 @@ fn fold_digests(digests: &[u64]) -> u64 {
     h
 }
 
-fn parse_flags() -> (TraceSpec, usize, Option<String>, bool) {
+fn parse_flags() -> (TraceSpec, Option<String>, bool) {
     let mut trace = TraceSpec::off();
-    let mut threads = 1usize;
     let mut trace_out = None;
     let mut quick = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,23 +49,16 @@ fn parse_flags() -> (TraceSpec, usize, Option<String>, bool) {
                 trace_out = Some(value.expect("--trace-out requires a value").to_string());
                 i += 1;
             }
-            "--threads" => {
-                threads = value
-                    .expect("--threads requires a value")
-                    .parse()
-                    .expect("--threads takes a number");
-                i += 1;
-            }
             "--quick" => quick = true,
-            other => panic!("unknown flag '{other}' (--trace --trace-out --threads --quick)"),
+            other => panic!("unknown flag '{other}' (--trace --trace-out --quick)"),
         }
         i += 1;
     }
-    (trace, threads, trace_out, quick)
+    (trace, trace_out, quick)
 }
 
 fn main() {
-    let (trace, threads, trace_out, quick) = parse_flags();
+    let (trace, trace_out, quick) = parse_flags();
     let plan = RunPlan {
         ramp_up: SimDuration::from_secs(if quick { 5 } else { 10 }),
         steady: SimDuration::from_secs(if quick { 20 } else { 60 }),
@@ -85,7 +77,6 @@ fn main() {
     for &ir in irs {
         let mut cfg = SutConfig::at_ir(ir);
         cfg.trace = trace;
-        cfg.threads = threads;
         let art = run_experiment(cfg, plan);
         let t = figures::utilization_table(&art);
         println!(

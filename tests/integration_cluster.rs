@@ -1,6 +1,6 @@
 //! Fleet determinism and failover gate (DESIGN.md §13): a seeded chaos
-//! storm over an `N`-node cluster must be bit-identical at every
-//! `--threads` value under both schedulers, the failover verdict must
+//! storm over an `N`-node cluster must be bit-identical with lanes on and
+//! off under both schedulers, the failover verdict must
 //! account for every dispatched request (zero lost, bounded shed), and
 //! a single-node run — the legacy engine path — must stay byte-identical
 //! to a build without the cluster layer, fleet-only fault plans included.
@@ -45,8 +45,9 @@ fn run_storm(threads: usize, sched: SchedMode) -> ClusterArtifacts {
     )
 }
 
-/// The CI cluster gate: HPM, trace, and fault digests are identical at
-/// `--threads 1/2/4/8` under both schedulers, through a storm that
+/// The CI cluster gate: HPM, trace, and fault digests are identical with
+/// lanes off (`--threads 1`) and on (`--threads 2`; any value above 1
+/// takes the same lane path) under both schedulers, through a storm that
 /// actually crashes nodes.
 #[test]
 fn chaos_storm_is_bit_identical_across_threads_and_schedulers() {
@@ -56,7 +57,7 @@ fn chaos_storm_is_bit_identical_across_threads_and_schedulers() {
         "the storm must crash nodes for the gate to mean anything: {:?}",
         base.stats
     );
-    for threads in [1usize, 2, 4, 8] {
+    for threads in [1usize, 2] {
         for sched in [SchedMode::Quantum, SchedMode::Event] {
             if threads == 1 && sched == SchedMode::Quantum {
                 continue;

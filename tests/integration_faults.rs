@@ -1,10 +1,10 @@
 //! Fault-injection determinism gate: a faulted run — retries, breaker
 //! trips, redeliveries, dead letters, GC storms and all — must be
-//! bit-identical for every `--threads` value, and an empty fault plan
+//! bit-identical under both schedulers, and an empty fault plan
 //! must leave the engine byte-for-byte on its legacy path (the golden
 //! HPM digest in `integration_determinism.rs` pins that separately).
 
-use jas2004::{Engine, FaultCounters, FaultPlan, RunPlan, SutConfig};
+use jas2004::{Engine, FaultCounters, FaultPlan, RunPlan, SchedMode, SutConfig};
 use jas_cpu::HpmEvent;
 use jas_simkernel::SimDuration;
 use proptest::prelude::*;
@@ -19,10 +19,9 @@ fn plan() -> RunPlan {
 }
 
 /// A storm covering every fault kind inside the 35 s run.
-fn storm_cfg(threads: usize) -> SutConfig {
+fn storm_cfg() -> SutConfig {
     let mut c = SutConfig::at_ir(15);
     c.machine.frequency_hz = 500_000.0;
-    c.threads = threads;
     c.faults.plan = FaultPlan::parse(
         "db-lock@8-20:0.35,db-io@10-25:0.25,jms-redeliver@6-25:0.5,\
          jms-dup@6-25:0.3,pool-seize@12-25:0.6,gc-storm@8-25:0.08",
@@ -48,45 +47,10 @@ fn hpm_digest(e: &Engine) -> u64 {
     h
 }
 
-fn run(threads: usize) -> Engine {
-    let mut e = Engine::new(storm_cfg(threads), plan());
-    e.run_to_end();
-    e
-}
-
-/// The CI faults gate: HPM digest AND fault-event digest are identical
-/// at `--threads 1` and `--threads 4` under a full fault storm.
-#[test]
-fn faulted_run_is_bit_identical_across_threads() {
-    let serial = run(1);
-    let parallel = run(4);
-
-    assert!(
-        !serial.fault_log().is_empty(),
-        "the storm must record events for the gate to mean anything"
-    );
-    assert_eq!(
-        serial.fault_log().digest(),
-        parallel.fault_log().digest(),
-        "fault-event series diverges across threads"
-    );
-    assert_eq!(
-        hpm_digest(&serial),
-        hpm_digest(&parallel),
-        "HPM counter state diverges across threads under faults"
-    );
-    assert_eq!(serial.fault_counters(), parallel.fault_counters());
-    assert_eq!(serial.completed_requests(), parallel.completed_requests());
-    assert_eq!(serial.aborted_requests(), parallel.aborted_requests());
-    assert_eq!(
-        serial.metrics().jops().to_bits(),
-        parallel.metrics().jops().to_bits()
-    );
-}
-
 #[test]
 fn storm_exercises_the_resilience_machinery() {
-    let e = run(1);
+    let mut e = Engine::new(storm_cfg(), plan());
+    e.run_to_end();
     let c = e.fault_counters();
     assert!(c.total_injected() > 0, "nothing injected: {c:?}");
     assert!(c.retries > 0, "no retries scheduled: {c:?}");
@@ -104,23 +68,23 @@ fn storm_exercises_the_resilience_machinery() {
 }
 
 proptest! {
-    /// Digest pinning as a property: for any seed, a faulted run at
-    /// `--threads 4` is bit-identical to `--threads 1` — HPM counters
-    /// and the fault-event series both. Uses a short run so the default
-    /// case count stays affordable.
+    /// Digest pinning as a property: for any seed, a faulted run under
+    /// `--sched event` is bit-identical to `--sched quantum` — HPM
+    /// counters and the fault-event series both. Uses a short run so the
+    /// default case count stays affordable.
     #[test]
-    fn any_seed_faulted_digest_is_thread_invariant(seed in any::<u64>()) {
+    fn any_seed_faulted_digest_is_scheduler_invariant(seed in any::<u64>()) {
         let short = RunPlan {
             ramp_up: SimDuration::from_secs(2),
             steady: SimDuration::from_secs(8),
             hpm_period: SimDuration::from_millis(500),
             throughput_bin: SimDuration::from_secs(2),
         };
-        let run = |threads: usize| -> Engine {
+        let run = |sched: SchedMode| -> Engine {
             let mut c = SutConfig::at_ir(10);
             c.machine.frequency_hz = 100_000.0;
             c.seed = seed;
-            c.threads = threads;
+            c.sched = sched;
             c.faults.plan = FaultPlan::parse(
                 "db-lock@2-8:0.4,jms-redeliver@2-8:0.5,gc-storm@2-8:0.1",
             )
@@ -129,11 +93,11 @@ proptest! {
             e.run_to_end();
             e
         };
-        let serial = run(1);
-        let parallel = run(4);
-        prop_assert_eq!(serial.fault_log().digest(), parallel.fault_log().digest());
-        prop_assert_eq!(hpm_digest(&serial), hpm_digest(&parallel));
-        prop_assert_eq!(serial.fault_counters(), parallel.fault_counters());
+        let quantum = run(SchedMode::Quantum);
+        let event = run(SchedMode::Event);
+        prop_assert_eq!(quantum.fault_log().digest(), event.fault_log().digest());
+        prop_assert_eq!(hpm_digest(&quantum), hpm_digest(&event));
+        prop_assert_eq!(quantum.fault_counters(), event.fault_counters());
     }
 }
 

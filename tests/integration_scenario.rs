@@ -1,6 +1,6 @@
 //! Scenario-registry gate: the seed scenarios under `scenarios/` parse
-//! with their pinned digests, time-varying load is bit-identical at
-//! every `--threads` value under both schedulers, a constant-curve
+//! with their pinned digests, time-varying load is bit-identical under
+//! both schedulers (and, for a fleet, with lanes on and off), a constant-curve
 //! scenario is byte-identical to the equivalent `--ir` flat run, the
 //! autoscaler's add/remove decisions reconcile with the fleet dispatch
 //! counters, and `--fault-plan @FILE` errors keep both the file path
@@ -96,8 +96,7 @@ fn seed_scenario_digests_are_pinned() {
 }
 
 /// Time-varying load through the single-engine path: the diurnal
-/// scenario's per-core counters are bit-identical at threads 1/4/8
-/// under both schedulers.
+/// scenario's per-core counters are bit-identical under both schedulers.
 #[test]
 fn diurnal_scenario_is_thread_and_scheduler_invariant() {
     let spec = load("diurnal-24h");
@@ -106,25 +105,21 @@ fn diurnal_scenario_is_thread_and_scheduler_invariant() {
     let mut base = Engine::new(cfg, plan);
     base.run_to_end();
     let golden = per_core_hpm_digest(&base);
-    let fault_golden = base.fault_log().digest();
-    for threads in [4usize, 8] {
-        for sched in [SchedMode::Quantum, SchedMode::Event] {
-            let (cfg, plan) = config_from(&spec, threads, sched);
-            let mut e = Engine::new(cfg, plan);
-            e.run_to_end();
-            assert_eq!(
-                per_core_hpm_digest(&e),
-                golden,
-                "diurnal diverges at threads {threads} / {sched:?}"
-            );
-            assert_eq!(e.fault_log().digest(), fault_golden);
-        }
-    }
+    let (cfg, plan) = config_from(&spec, 1, SchedMode::Event);
+    let mut e = Engine::new(cfg, plan);
+    e.run_to_end();
+    assert_eq!(
+        per_core_hpm_digest(&e),
+        golden,
+        "diurnal diverges under the event scheduler"
+    );
+    assert_eq!(e.fault_log().digest(), base.fault_log().digest());
 }
 
 /// Time-varying load through the fleet path: the flash-crowd scenario's
-/// fleet digests, stats, and final active-node count are identical at
-/// threads 1/2/4/8 under both schedulers.
+/// fleet digests, stats, and final active-node count are identical with
+/// lanes off (threads 1) and on (threads 2) under both schedulers; any
+/// value above 1 takes the same lane path.
 #[test]
 fn flash_crowd_scenario_is_thread_and_scheduler_invariant() {
     let spec = load("flash-crowd");
@@ -141,7 +136,7 @@ fn flash_crowd_scenario_is_thread_and_scheduler_invariant() {
         )
     };
     let base = run(1, SchedMode::Quantum);
-    for threads in [1usize, 2, 4, 8] {
+    for threads in [1usize, 2] {
         for sched in [SchedMode::Quantum, SchedMode::Event] {
             if threads == 1 && sched == SchedMode::Quantum {
                 continue;

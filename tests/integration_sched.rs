@@ -1,7 +1,7 @@
 //! Event-scheduler equivalence gate: `--sched event` must produce
 //! bit-identical HPM, trace, and fault digests to the legacy
-//! `--sched quantum` loop — at every `--threads` value, under a full
-//! fault storm, and across a checkpoint/restore that crosses scheduler
+//! `--sched quantum` loop — on a traced run, under a full fault storm,
+//! and across a checkpoint/restore that crosses scheduler
 //! modes in both directions. The event scheduler's whole value is that
 //! skipping provably idle quanta is *unobservable*; these tests are the
 //! observability check.
@@ -24,23 +24,21 @@ fn plan() -> RunPlan {
 /// A traced, lightly loaded configuration: low IR on a slow clock leaves
 /// idle quanta for the event scheduler to skip, and tracing keeps the
 /// TRACE digest non-trivial.
-fn traced_cfg(sched: SchedMode, threads: usize) -> SutConfig {
+fn traced_cfg(sched: SchedMode) -> SutConfig {
     let mut c = SutConfig::at_ir(10);
     c.machine.frequency_hz = 100_000.0;
     c.trace = TraceSpec::all();
     c.sched = sched;
-    c.threads = threads;
     c
 }
 
 /// The storm from `integration_faults.rs`: every fault kind active, so
 /// window-edge wake-ups, seize-level transitions, and GC-storm rolls all
 /// exercise the idle predicate.
-fn storm_cfg(sched: SchedMode, threads: usize) -> SutConfig {
+fn storm_cfg(sched: SchedMode) -> SutConfig {
     let mut c = SutConfig::at_ir(15);
     c.machine.frequency_hz = 500_000.0;
     c.sched = sched;
-    c.threads = threads;
     c.faults.plan = FaultPlan::parse(
         "db-lock@8-20:0.35,db-io@10-25:0.25,jms-redeliver@6-25:0.5,\
          jms-dup@6-25:0.3,pool-seize@12-25:0.6,gc-storm@8-25:0.08",
@@ -74,41 +72,39 @@ fn finished(cfg: SutConfig) -> Engine {
 }
 
 /// The CI sched gate: HPM, trace, and fault digests are identical across
-/// schedulers at `--threads` 1, 4, and 8 — and the event scheduler
-/// actually skipped something, so the equality is not vacuous.
+/// schedulers — and the event scheduler actually skipped something, so
+/// the equality is not vacuous.
 #[test]
 fn event_scheduler_digests_match_quantum_at_every_thread_count() {
-    let golden = finished(traced_cfg(SchedMode::Quantum, 1));
+    let golden = finished(traced_cfg(SchedMode::Quantum));
     assert!(!golden.tracer().is_empty());
-    for threads in [1usize, 4, 8] {
-        let event = finished(traced_cfg(SchedMode::Event, threads));
-        assert_eq!(
-            hpm_digest(&event),
-            hpm_digest(&golden),
-            "HPM digest diverges at --threads {threads}"
-        );
-        assert_eq!(
-            event.tracer().digest(),
-            golden.tracer().digest(),
-            "trace digest diverges at --threads {threads}"
-        );
-        assert_eq!(
-            event.tracer().events(),
-            golden.tracer().events(),
-            "trace events diverge at --threads {threads}"
-        );
-        assert_eq!(event.fault_log().digest(), golden.fault_log().digest());
-        let stats = event.sched_stats();
-        assert!(
-            stats.idle_ticks_skipped > 0,
-            "a lightly loaded run must leave quanta to skip"
-        );
-        assert_eq!(
-            stats.total_ticks(),
-            golden.sched_stats().quanta_executed,
-            "skipped + executed must cover the quantum scheduler's timeline"
-        );
-    }
+    let event = finished(traced_cfg(SchedMode::Event));
+    assert_eq!(
+        hpm_digest(&event),
+        hpm_digest(&golden),
+        "HPM digest diverges"
+    );
+    assert_eq!(
+        event.tracer().digest(),
+        golden.tracer().digest(),
+        "trace digest diverges"
+    );
+    assert_eq!(
+        event.tracer().events(),
+        golden.tracer().events(),
+        "trace events diverge"
+    );
+    assert_eq!(event.fault_log().digest(), golden.fault_log().digest());
+    let stats = event.sched_stats();
+    assert!(
+        stats.idle_ticks_skipped > 0,
+        "a lightly loaded run must leave quanta to skip"
+    );
+    assert_eq!(
+        stats.total_ticks(),
+        golden.sched_stats().quanta_executed,
+        "skipped + executed must cover the quantum scheduler's timeline"
+    );
 }
 
 /// Under a full fault storm the idle predicate must keep the schedulers
@@ -116,25 +112,23 @@ fn event_scheduler_digests_match_quantum_at_every_thread_count() {
 /// registered wake-ups, and the digests stay bit-identical.
 #[test]
 fn event_scheduler_matches_quantum_under_a_fault_storm() {
-    let quantum = finished(storm_cfg(SchedMode::Quantum, 1));
+    let quantum = finished(storm_cfg(SchedMode::Quantum));
     assert!(
         !quantum.fault_log().is_empty(),
         "the storm must record events for the gate to mean anything"
     );
-    for threads in [1usize, 4] {
-        let event = finished(storm_cfg(SchedMode::Event, threads));
-        assert_eq!(
-            hpm_digest(&event),
-            hpm_digest(&quantum),
-            "HPM digest diverges under the storm at --threads {threads}"
-        );
-        assert_eq!(
-            event.fault_log().digest(),
-            quantum.fault_log().digest(),
-            "fault digest diverges under the storm at --threads {threads}"
-        );
-        assert_eq!(event.completed_requests(), quantum.completed_requests());
-    }
+    let event = finished(storm_cfg(SchedMode::Event));
+    assert_eq!(
+        hpm_digest(&event),
+        hpm_digest(&quantum),
+        "HPM digest diverges under the storm"
+    );
+    assert_eq!(
+        event.fault_log().digest(),
+        quantum.fault_log().digest(),
+        "fault digest diverges under the storm"
+    );
+    assert_eq!(event.completed_requests(), quantum.completed_requests());
 }
 
 /// A checkpoint taken under one scheduler (with a live wake heap in the
@@ -143,7 +137,7 @@ fn event_scheduler_matches_quantum_under_a_fault_storm() {
 /// the event scheduler rebuilds any missing wake-ups from restored state.
 #[test]
 fn checkpoints_cross_schedulers_in_both_directions() {
-    let golden = finished(traced_cfg(SchedMode::Quantum, 1));
+    let golden = finished(traced_cfg(SchedMode::Quantum));
     let golden_digest = hpm_digest(&golden);
     let golden_trace = golden.tracer().digest();
 
@@ -151,10 +145,10 @@ fn checkpoints_cross_schedulers_in_both_directions() {
         (SchedMode::Quantum, SchedMode::Event),
         (SchedMode::Event, SchedMode::Quantum),
     ] {
-        let mut first = Engine::new(traced_cfg(from, 1), plan());
+        let mut first = Engine::new(traced_cfg(from), plan());
         first.run_to(SimTime::from_secs(12));
         let bytes = checkpoint_bytes(&mut first);
-        let mut resumed = restore_engine(&traced_cfg(to, 1), plan(), &bytes)
+        let mut resumed = restore_engine(&traced_cfg(to), plan(), &bytes)
             .expect("cross-scheduler restore validates");
         resumed.run_to_end();
         assert_eq!(
@@ -173,7 +167,7 @@ fn checkpoints_cross_schedulers_in_both_directions() {
 proptest! {
     /// Scheduler equivalence holds for arbitrary seeds, not just the
     /// golden one: a short run yields the same HPM digest and completion
-    /// count under both schedulers, with the event side at --threads 4.
+    /// count under both schedulers.
     #[test]
     fn any_seed_event_scheduler_matches_quantum(seed in any::<u64>()) {
         let short = RunPlan {
@@ -182,17 +176,15 @@ proptest! {
             hpm_period: SimDuration::from_millis(500),
             throughput_bin: SimDuration::from_secs(2),
         };
-        let run = |sched: SchedMode, threads: usize| {
+        let run = |sched: SchedMode| {
             let mut c = SutConfig::at_ir(10);
             c.machine.frequency_hz = 100_000.0;
             c.seed = seed;
             c.sched = sched;
-            c.threads = threads;
             let mut e = Engine::new(c, short);
             e.run_to_end();
             (hpm_digest(&e), e.completed_requests())
         };
-        prop_assert_eq!(run(SchedMode::Quantum, 1), run(SchedMode::Event, 1));
-        prop_assert_eq!(run(SchedMode::Quantum, 1), run(SchedMode::Event, 4));
+        prop_assert_eq!(run(SchedMode::Quantum), run(SchedMode::Event));
     }
 }

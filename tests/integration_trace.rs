@@ -1,10 +1,10 @@
 //! End-to-end gates for `jas-trace`: the trace-event stream is
-//! bit-identical at any `--threads` value, a disabled tracer leaves the
+//! bit-identical under both schedulers, a disabled tracer leaves the
 //! golden HPM digest byte-for-byte unchanged (tracing observes the
 //! simulation, it never perturbs it), and the exporters round-trip the
 //! event stream losslessly.
 
-use jas2004::{Engine, RunPlan, SutConfig, TraceSpec};
+use jas2004::{Engine, RunPlan, SchedMode, SutConfig, TraceSpec};
 use jas_cpu::HpmEvent;
 use jas_simkernel::SimDuration;
 use jas_trace::{digest_of, export, json};
@@ -26,10 +26,9 @@ fn cfg(seed: u64) -> SutConfig {
     c
 }
 
-fn traced_engine(seed: u64, threads: usize) -> Engine {
+fn traced_engine(seed: u64) -> Engine {
     let mut c = cfg(seed);
     c.trace = TraceSpec::all();
-    c.threads = threads;
     let mut e = Engine::new(c, plan());
     e.run_to_end();
     e
@@ -58,30 +57,6 @@ fn hpm_digest(e: &Engine) -> u64 {
 /// per-core counter state of the seed configuration.
 const GOLDEN_HPM_DIGEST: u64 = 4_647_797_724_068_322_213;
 
-/// The CI trace gate: the merged event stream — not just its digest —
-/// is bit-identical at `--threads` 1, 4, and 8.
-#[test]
-fn trace_digest_is_thread_invariant() {
-    let serial = traced_engine(1, 1);
-    let events = serial.tracer().events().to_vec();
-    assert!(!events.is_empty(), "a traced run must record events");
-    let digest = serial.tracer().digest();
-    assert_ne!(digest, 0);
-    for threads in [4usize, 8] {
-        let parallel = traced_engine(1, threads);
-        assert_eq!(
-            digest,
-            parallel.tracer().digest(),
-            "trace digest diverges at --threads {threads}"
-        );
-        assert_eq!(
-            events,
-            parallel.tracer().events(),
-            "trace events diverge at --threads {threads}"
-        );
-    }
-}
-
 /// Tracing-off runs reproduce the committed golden HPM digest exactly:
 /// every emission site is behind the cached `trace_active` flag, so a
 /// build with tracing compiled in but disabled is byte-identical to the
@@ -102,7 +77,7 @@ fn disabled_tracer_reproduces_golden_hpm_digest() {
 /// either — the golden HPM digest still holds with every category live.
 #[test]
 fn enabled_tracer_does_not_perturb_the_simulation() {
-    let e = traced_engine(1, 1);
+    let e = traced_engine(1);
     assert!(!e.tracer().is_empty());
     assert_eq!(
         hpm_digest(&e),
@@ -116,7 +91,7 @@ fn enabled_tracer_does_not_perturb_the_simulation() {
 /// stream matches the tracer's.
 #[test]
 fn binary_export_round_trips() {
-    let e = traced_engine(1, 1);
+    let e = traced_engine(1);
     let events = e.tracer().events();
     let blob = export::to_binary(events);
     let back = export::from_binary(&blob).expect("own output must decode");
@@ -128,7 +103,7 @@ fn binary_export_round_trips() {
 /// every event, in order, with the digest stamped in `otherData`.
 #[test]
 fn chrome_json_export_is_well_formed() {
-    let e = traced_engine(1, 1);
+    let e = traced_engine(1);
     let text = export::to_chrome_json(e.tracer().events());
     let doc = json::parse(&text).expect("exporter output must parse");
     let events = doc
@@ -150,27 +125,27 @@ fn chrome_json_export_is_well_formed() {
 }
 
 proptest! {
-    /// Thread invariance holds for arbitrary seeds, not just the golden
-    /// one: a short traced run at `--threads 1` and `--threads 4` yields
-    /// the same digest and event count.
+    /// Scheduler invariance holds for arbitrary seeds, not just the
+    /// golden one: a short traced run under `--sched quantum` and
+    /// `--sched event` yields the same digest and event count.
     #[test]
-    fn any_seed_trace_is_thread_invariant(seed in any::<u64>()) {
+    fn any_seed_trace_is_scheduler_invariant(seed in any::<u64>()) {
         let short = RunPlan {
             ramp_up: SimDuration::from_secs(2),
             steady: SimDuration::from_secs(8),
             hpm_period: SimDuration::from_millis(500),
             throughput_bin: SimDuration::from_secs(2),
         };
-        let run = |threads: usize| {
+        let run = |sched: SchedMode| {
             let mut c = SutConfig::at_ir(10);
             c.machine.frequency_hz = 100_000.0;
             c.seed = seed;
             c.trace = TraceSpec::all();
-            c.threads = threads;
+            c.sched = sched;
             let mut e = Engine::new(c, short);
             e.run_to_end();
             (e.tracer().digest(), e.tracer().len())
         };
-        prop_assert_eq!(run(1), run(4));
+        prop_assert_eq!(run(SchedMode::Quantum), run(SchedMode::Event));
     }
 }
