@@ -4,6 +4,7 @@
 //! exact-equivalence fast-path work (A/B across code changes).
 
 use jas2004::{Engine, RunPlan, SutConfig};
+use jas_simkernel::snapshot::fnv1a;
 use jas_simkernel::SimDuration;
 
 fn main() {
@@ -15,12 +16,7 @@ fn main() {
     };
     let mut engine = Engine::new(SutConfig::at_ir(30), plan);
     engine.run_to_end();
-    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-    let digest = format!("{:?}{:?}", engine.metrics(), engine.steady_counters());
-    for b in digest.as_bytes() {
-        acc ^= u64::from(*b);
-        acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let acc = fnv1a(format!("{:?}{:?}", engine.metrics(), engine.steady_counters()).as_bytes());
     println!(
         "completed={} aborted={} digest={acc:016x}",
         engine.completed_requests(),

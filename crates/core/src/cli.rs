@@ -64,7 +64,8 @@ pub struct CliOptions {
     /// Where the `.jwit` witness goes (only with `reduce`).
     pub witness_out: Option<PathBuf>,
     /// App-server nodes behind the load balancer. `1` (the default) runs
-    /// the legacy single-engine path with no LB in the loop.
+    /// the plain engine with no LB in the loop (routing one node through
+    /// the LB would move its digests); both print the same report lines.
     pub nodes: usize,
     /// Front-end dispatch policy (`--nodes N > 1` only).
     pub dispatch: DispatchPolicy,
@@ -134,8 +135,8 @@ OPTIONS:
                          acted on by the LB), start/end in seconds, rate
                          in [0,1]; @FILE reads the spec from FILE
     --nodes <N>          app-server nodes behind the load balancer
-                         (default 1 = the legacy single-engine path;
-                         fleet digests/verdict print for N > 1)
+                         (default 1 = the plain engine, no LB; N > 1
+                         adds the per-node and cluster report lines)
     --dispatch <POLICY>  round-robin | least-conn | ps-clone front-end
                          dispatch (default round-robin; N > 1 only)
     --figure <SEL>       all | 2..10 | locking | utilization | resilience |

@@ -1,11 +1,12 @@
 //! The production cluster node: an [`Engine`] in external-arrival mode
 //! behind the `jas-cluster` load balancer (DESIGN.md §13).
 //!
-//! `--nodes 1` never reaches this module — the CLI runs the legacy
-//! single-engine path, byte-identical to a build without the cluster
-//! layer. For `--nodes N > 1`, [`run_cluster`] builds N independent
-//! engine stacks (distinct seeds, same configuration shape), hands the
-//! workload's arrival process to the LB, and returns fleet artifacts.
+//! `--nodes 1` never reaches this module: the CLI runs the plain engine,
+//! because routing one node through the LB would move its digests. For
+//! `--nodes N > 1`, [`run_cluster`] builds N independent engine stacks
+//! (distinct seeds, same configuration shape), hands the workload's
+//! arrival process to the LB, and returns fleet artifacts. Both paths
+//! print the same [`RunReport`](crate::report::RunReport) lines.
 
 use crate::config::{RunPlan, SutConfig};
 use crate::engine::Engine;
@@ -252,6 +253,8 @@ impl ClusterNode for EngineNode {
 
 /// Everything a cluster run produces, for the report/figure layer.
 pub struct ClusterArtifacts {
+    /// The fleet configuration that ran (node 0's seed and shape).
+    pub config: SutConfig,
     /// Node count.
     pub nodes: usize,
     /// Dispatch policy used.
@@ -264,8 +267,12 @@ pub struct ClusterArtifacts {
     pub hpm_digest: u64,
     /// Fleet trace digest.
     pub trace_digest: u64,
+    /// Trace events summed over the nodes.
+    pub trace_events: usize,
     /// Fleet fault digest (per-node logs plus the LB's own).
     pub fault_digest: u64,
+    /// Fault events in the per-node logs plus the LB's own.
+    pub fault_events: usize,
     /// Per-node HPM digests (node 0 first).
     pub node_hpm_digests: Vec<u64>,
     /// Per-node counter files plus fleet aggregates (`--figure cluster`).
@@ -320,7 +327,7 @@ fn mean_failover_ms(log: &jas_faults::FaultLog) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `nodes < 2` (the single-node path is the legacy engine run,
+/// Panics if `nodes < 2` (the single-node path is the plain engine run,
 /// not a one-node fleet).
 #[must_use]
 pub fn run_cluster(
@@ -340,7 +347,7 @@ pub fn run_cluster(
 ///
 /// # Panics
 ///
-/// Panics if `nodes < 2` (the single-node path is the legacy engine run,
+/// Panics if `nodes < 2` (the single-node path is the plain engine run,
 /// not a one-node fleet).
 #[must_use]
 pub fn run_cluster_with(
@@ -394,22 +401,24 @@ pub fn run_cluster_with(
         acc.observe(run.end().as_secs_f64(), &fleet_counters(&cluster));
     }
     let active_nodes = cluster.active_nodes();
-    let host_profile = cluster
-        .nodes()
-        .iter()
-        .filter_map(|node| node.engine().host_profile())
+    let engines = || cluster.nodes().iter().map(EngineNode::engine);
+    let host_profile = engines()
+        .filter_map(Engine::host_profile)
         .reduce(|mut sum, report| {
             sum.merge(&report);
             sum
         });
     ClusterArtifacts {
+        config: cfg.clone(),
         nodes,
         dispatch,
         stats: *cluster.stats(),
         verdict: cluster.verdict(),
         hpm_digest: cluster.hpm_digest(),
         trace_digest: cluster.trace_digest(),
+        trace_events: engines().map(|e| e.tracer().len()).sum(),
         fault_digest: cluster.fault_digest(),
+        fault_events: engines().map(|e| e.fault_log().len()).sum::<usize>() + cluster.log().len(),
         node_hpm_digests: cluster
             .nodes()
             .iter()

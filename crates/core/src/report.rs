@@ -1,10 +1,16 @@
-//! Plain-text rendering of figure data, used by the benches and examples.
+//! Plain-text rendering of figure data, used by the benches and examples,
+//! and the [`RunReport`] whose digest/verdict lines every run prints.
 
+use crate::experiment::RunArtifacts;
 use crate::figures::{
     ClusterTable, Fig10Correlation, Fig2Throughput, Fig3Gc, Fig4Profile, Fig5Cpi, Fig6Branch,
     Fig7Tlb, Fig8L1d, Fig9DataFrom, LockingTable, ResilienceTable, ScenarioTable, SchedTable,
     TprofTable, UtilizationTable, VmstatTable,
 };
+use crate::fleet::ClusterArtifacts;
+use jas_cluster::ClusterVerdict;
+use jas_scenario::{ScenarioOutcome, ScenarioSpec};
+use jas_workload::Verdict;
 use std::fmt::Write as _;
 
 fn bar(r: f64, width: usize) -> String {
@@ -454,6 +460,164 @@ pub fn render_scenario(t: &ScenarioTable) -> String {
     out
 }
 
+/// The machine-readable summary of one finished run: the digest and
+/// verdict lines every `jas2004` run prints, built the same way for one
+/// engine or a fleet, from flags or from a scenario spec (DESIGN.md §13).
+#[derive(Debug)]
+pub struct RunReport {
+    /// `SCENARIO_DIGEST` and the `SCENARIO_VERDICT` line, on scenario runs.
+    scenario: Option<(u64, String)>,
+    /// `HPM_DIGEST`: the engine's, or the fleet fold of the node digests.
+    hpm_digest: u64,
+    /// `TRACE_DIGEST` and its event count, when tracing was on.
+    trace: Option<(u64, usize)>,
+    /// `FAULT_DIGEST` and its event count, when a fault plan was set.
+    faults: Option<(u64, usize)>,
+    /// The fleet lines, on `--nodes N > 1` runs.
+    fleet: Option<FleetReport>,
+    /// The rendered `HOSTPROF` section, when host profiling was on.
+    hostprof: Option<String>,
+}
+
+/// The fleet part of a [`RunReport`].
+#[derive(Debug)]
+struct FleetReport {
+    /// `NODE<i>_HPM_DIGEST`, node 0 first.
+    node_hpm_digests: Vec<u64>,
+    /// Nodes in rotation when the run ended.
+    active_nodes: usize,
+    /// Autoscaler scale-ups.
+    scale_ups: u64,
+    /// Autoscaler scale-downs.
+    scale_downs: u64,
+    /// Merged SLO verdict plus the failover conservation check.
+    verdict: ClusterVerdict,
+}
+
+/// `SCENARIO_DIGEST` and the `SCENARIO_VERDICT` line for `spec`.
+fn scenario_lines(
+    spec: &ScenarioSpec,
+    verdict: &Verdict,
+    shed_fraction: f64,
+    lost: u64,
+    slo_miss: f64,
+) -> (u64, String) {
+    let outcome = ScenarioOutcome {
+        web_p90: verdict.web_p90,
+        rmi_p90: verdict.rmi_p90,
+        error_rate: verdict.error_rate,
+        shed_fraction,
+        slo_miss,
+        lost,
+    };
+    (spec.digest(), spec.verdict_line(&outcome))
+}
+
+impl RunReport {
+    /// The report of a single-engine run. `scenario` is the spec the run
+    /// came from, with the run's fraction of responses over the spec's
+    /// web p90 limit (`Metrics::slo_miss_fraction`).
+    #[must_use]
+    pub fn from_run(art: &RunArtifacts, scenario: Option<(&ScenarioSpec, f64)>) -> RunReport {
+        RunReport {
+            scenario: scenario
+                .map(|(spec, slo_miss)| scenario_lines(spec, &art.verdict, 0.0, 0, slo_miss)),
+            hpm_digest: art.hpm_digest,
+            trace: art
+                .config
+                .trace
+                .enabled()
+                .then_some((art.trace_digest, art.trace.len())),
+            faults: (!art.config.faults.plan.is_empty())
+                .then_some((art.fault_digest, art.fault_events)),
+            fleet: None,
+            hostprof: art.hostprof_text.clone(),
+        }
+    }
+
+    /// The report of a fleet run, optionally from a scenario spec.
+    #[must_use]
+    pub fn from_cluster(art: &ClusterArtifacts, scenario: Option<&ScenarioSpec>) -> RunReport {
+        let v = &art.verdict;
+        RunReport {
+            scenario: scenario.map(|spec| {
+                let slo_miss = art.metrics.slo_miss_fraction(spec.slo.web_p90_s);
+                scenario_lines(spec, &v.verdict, v.shed_fraction, v.lost, slo_miss)
+            }),
+            hpm_digest: art.hpm_digest,
+            trace: art
+                .config
+                .trace
+                .enabled()
+                .then_some((art.trace_digest, art.trace_events)),
+            faults: (!art.config.faults.plan.is_empty())
+                .then_some((art.fault_digest, art.fault_events)),
+            fleet: Some(FleetReport {
+                node_hpm_digests: art.node_hpm_digests.clone(),
+                active_nodes: art.active_nodes,
+                scale_ups: art.stats.scale_ups,
+                scale_downs: art.stats.scale_downs,
+                verdict: art.verdict,
+            }),
+            hostprof: art.host_profile.as_ref().map(|r| r.render()),
+        }
+    }
+
+    /// The digest and verdict lines, always in this order, each only when
+    /// its run has it: `SCENARIO_DIGEST`, `HPM_DIGEST`, `TRACE_DIGEST`,
+    /// `FAULT_DIGEST`, `NODE<i>_HPM_DIGEST`, `ACTIVE_NODES`,
+    /// `CLUSTER_VERDICT`, `SCENARIO_VERDICT`.
+    #[must_use]
+    pub fn digest_lines(&self) -> Vec<String> {
+        let mut lines = Vec::new();
+        if let Some((digest, _)) = &self.scenario {
+            lines.push(format!("SCENARIO_DIGEST={digest:#018x}"));
+        }
+        lines.push(format!("HPM_DIGEST={:#018x}", self.hpm_digest));
+        if let Some((digest, events)) = self.trace {
+            lines.push(format!("TRACE_DIGEST={digest:#018x} events={events}"));
+        }
+        if let Some((digest, events)) = self.faults {
+            lines.push(format!("FAULT_DIGEST={digest:#018x} events={events}"));
+        }
+        if let Some(fleet) = &self.fleet {
+            for (i, digest) in fleet.node_hpm_digests.iter().enumerate() {
+                lines.push(format!("NODE{i}_HPM_DIGEST={digest:#018x}"));
+            }
+            lines.push(format!(
+                "ACTIVE_NODES={} scale_ups={} scale_downs={}",
+                fleet.active_nodes, fleet.scale_ups, fleet.scale_downs
+            ));
+            let v = &fleet.verdict;
+            lines.push(format!(
+                "CLUSTER_VERDICT={} lost={} shed={} shed_fraction={:.4}",
+                if v.lost == 0 && v.verdict.passed {
+                    "pass"
+                } else {
+                    "fail"
+                },
+                v.lost,
+                v.shed,
+                v.shed_fraction
+            ));
+        }
+        if let Some((_, verdict)) = &self.scenario {
+            lines.push(verdict.clone());
+        }
+        lines
+    }
+}
+
+/// The digest lines, then the `HOSTPROF` section when there is one.
+impl std::fmt::Display for RunReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for line in self.digest_lines() {
+            writeln!(f, "{line}")?;
+        }
+        f.write_str(self.hostprof.as_deref().unwrap_or_default())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,6 +822,53 @@ mod tests {
         assert!(text.contains("75.0% of the timeline was free"));
         assert!(text.contains("dispatched 412"));
         assert!(text.contains("high-water 9"));
+    }
+
+    #[test]
+    fn fleet_scenario_report_prints_every_line_in_contract_order() {
+        let verdict = Verdict {
+            web_p90: 0.5,
+            rmi_p90: 0.25,
+            retries: 0,
+            errors: 0,
+            error_rate: 0.0,
+            degraded: false,
+            passed: true,
+        };
+        let report = RunReport {
+            scenario: Some((0xab, "SCENARIO_VERDICT=pass name=x".to_string())),
+            hpm_digest: 1,
+            trace: Some((2, 20)),
+            faults: Some((3, 30)),
+            fleet: Some(FleetReport {
+                node_hpm_digests: vec![4, 5],
+                active_nodes: 1,
+                scale_ups: 2,
+                scale_downs: 3,
+                verdict: ClusterVerdict {
+                    verdict,
+                    lost: 0,
+                    shed: 7,
+                    shed_fraction: 0.125,
+                },
+            }),
+            hostprof: Some("HOSTPROF\n".to_string()),
+        };
+        assert_eq!(
+            report.digest_lines(),
+            [
+                "SCENARIO_DIGEST=0x00000000000000ab",
+                "HPM_DIGEST=0x0000000000000001",
+                "TRACE_DIGEST=0x0000000000000002 events=20",
+                "FAULT_DIGEST=0x0000000000000003 events=30",
+                "NODE0_HPM_DIGEST=0x0000000000000004",
+                "NODE1_HPM_DIGEST=0x0000000000000005",
+                "ACTIVE_NODES=1 scale_ups=2 scale_downs=3",
+                "CLUSTER_VERDICT=pass lost=0 shed=7 shed_fraction=0.1250",
+                "SCENARIO_VERDICT=pass name=x",
+            ]
+        );
+        assert!(report.to_string().ends_with("name=x\nHOSTPROF\n"));
     }
 
     #[test]

@@ -57,9 +57,7 @@ pub use branch::{BranchConfig, BranchUnit};
 pub use cache::{CacheConfig, Mesi, Replacement, SetAssocCache};
 pub use counters::{CounterFile, HpmEvent, EVENT_COUNT};
 pub use hierarchy::{DataSource, InstSource, MemEvent, MemorySystem, Topology};
-pub use machine::{
-    data_latency, reconcile_core, CorePrivate, Machine, MachineConfig, MachineParts,
-};
+pub use machine::{data_latency, reconcile_core, CorePrivate, Machine, MachineConfig};
 pub use pipeline::CostModel;
 pub use prefetch::{PrefetchConfig, Prefetcher};
 pub use stream::{AccessPattern, DataRegion, StreamGen, StreamProfile, Window};

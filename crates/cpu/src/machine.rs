@@ -533,18 +533,6 @@ pub fn reconcile_core(
     correction
 }
 
-/// Mutable views over the machine's disjoint halves, for callers that run
-/// the recording phase themselves (possibly across threads) and then
-/// reconcile.
-pub struct MachineParts<'a> {
-    /// The machine's configuration.
-    pub cfg: &'a MachineConfig,
-    /// Core-private halves, indexed by core id.
-    pub cores: &'a mut [CorePrivate],
-    /// The shared hierarchy.
-    pub mem: &'a mut MemorySystem,
-}
-
 /// The simulated multiprocessor.
 ///
 /// # Example
@@ -634,17 +622,6 @@ impl Machine {
             total.merge(&c.counters);
         }
         total
-    }
-
-    /// Splits the machine into its disjoint halves for two-phase
-    /// execution: per-core private state and the shared hierarchy.
-    #[must_use]
-    pub fn parts_mut(&mut self) -> MachineParts<'_> {
-        MachineParts {
-            cfg: &self.cfg,
-            cores: &mut self.cores,
-            mem: &mut self.mem,
-        }
     }
 
     /// Detaches the per-core private halves so a scheduler can borrow them
@@ -979,27 +956,26 @@ mod tests {
         // Two-phase path: record every core's batch privately, then
         // reconcile in fixed core order.
         let mut b = machine();
-        let parts = b.parts_mut();
-        let cost = parts.cfg.cost;
-        let addr_map = parts.cfg.addr_map;
-        let topo = parts.cfg.topology;
+        let cfg = b.config().clone();
+        let mut cores = b.take_cores();
         let mut bufs: Vec<Vec<MemEvent>> = vec![Vec::new(); 4];
-        for (core, cp) in parts.cores.iter_mut().enumerate() {
+        for (core, cp) in cores.iter_mut().enumerate() {
             for (c, op) in &ops {
                 if *c == core {
-                    cp.exec_record(&cost, addr_map, ia, *op, &mut bufs[core]);
+                    cp.exec_record(&cfg.cost, cfg.addr_map, ia, *op, &mut bufs[core]);
                 }
             }
         }
-        for (core, cp) in parts.cores.iter_mut().enumerate() {
+        for (core, cp) in cores.iter_mut().enumerate() {
             reconcile_core(
                 cp,
-                topo.chip_of_core(core),
-                &cost,
-                parts.mem,
+                cfg.topology.chip_of_core(core),
+                &cfg.cost,
+                b.mem_mut(),
                 &mut bufs[core],
             );
         }
+        b.restore_cores(cores);
 
         for core in 0..4 {
             assert_eq!(

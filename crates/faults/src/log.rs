@@ -1,6 +1,7 @@
 //! The fault/resilience event series and its reproducibility digest.
 
 use crate::plan::FaultKind;
+use jas_simkernel::snapshot::WordDigest;
 use jas_simkernel::SimTime;
 
 /// What happened: an injected fault or a resilience reaction to one.
@@ -171,18 +172,12 @@ impl FaultLog {
     /// runs.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut d = WordDigest::new();
         for ev in &self.events {
-            mix(ev.at.as_nanos());
-            mix(ev.what.code());
+            d.mix(ev.at.as_nanos());
+            d.mix(ev.what.code());
         }
-        hash
+        d.value()
     }
 }
 // --- Checkpoint persistence ---

@@ -6,6 +6,7 @@
 //! single-machine `hpmcount` totals.
 
 use jas_cpu::{CounterFile, HpmEvent};
+use jas_simkernel::snapshot::WordDigest;
 
 /// Per-node HPM counter files with fleet-wide aggregation.
 #[derive(Clone, Debug, Default)]
@@ -75,20 +76,14 @@ impl FleetHpm {
     /// cancel out.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.nodes.len() as u64);
+        let mut d = WordDigest::new();
+        d.mix(self.nodes.len() as u64);
         for node in &self.nodes {
             for event in HpmEvent::ALL {
-                mix(node.get(event));
+                d.mix(node.get(event));
             }
         }
-        hash
+        d.value()
     }
 }
 

@@ -143,12 +143,7 @@ pub fn to_text(a: &Analysis, hash: u64) -> String {
             f.name, f.line, oflag, otype, otrait
         ));
         for p in &f.params {
-            out.push_str(&format!(
-                "A\t{}\t{}\t{}\n",
-                p.name,
-                p.base_type,
-                u8::from(p.mut_ref)
-            ));
+            out.push_str(&format!("A\t{}\n", p.name));
         }
         out.push_str(&format!("I\t{}\n", join_names(&f.body.idents)));
         out.push_str(&format!("C\t{}\n", join_names(&f.body.callees)));
@@ -228,8 +223,6 @@ pub fn from_text(text: &str, expect_hash: u64) -> Option<Analysis> {
             }
             "A" => a.ast.fns.last_mut()?.params.push(Param {
                 name: parts.next()?.to_string(),
-                base_type: parts.next()?.to_string(),
-                mut_ref: parts.next()? == "1",
             }),
             "I" => a.ast.fns.last_mut()?.body.idents = split_names(parts.next()?),
             "C" => a.ast.fns.last_mut()?.body.callees = split_names(parts.next()?),

@@ -41,7 +41,7 @@ use std::path::Path;
 
 /// Bumped whenever lexing, parsing, or any rule changes behaviour, so
 /// stale cache entries from an older binary can never leak findings.
-pub const RULES_REV: u32 = 4;
+pub const RULES_REV: u32 = 5;
 
 /// A token-rule hit with an owned rule id, so analyses round-trip through
 /// the [`cache`] without needing the `'static` rule table.

@@ -46,19 +46,11 @@ pub struct Owner {
     pub trait_name: Option<String>,
 }
 
-/// One function parameter, reduced to what the phase-discipline rule
-/// needs: the base type name and whether it is taken by `&mut`.
+/// One function parameter, reduced to its pattern name.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Param {
     /// Pattern name (`self` for receivers, `_` kept verbatim).
     pub name: String,
-    /// Base name of the type: the last path segment before any generic
-    /// arguments, seen through references, `mut`, `dyn`, and one level of
-    /// slice (`&mut [CorePrivate]` → `CorePrivate`). Empty when the
-    /// parameter's type could not be reduced to a path.
-    pub base_type: String,
-    /// True for `&mut T` (and `&mut self`).
-    pub mut_ref: bool,
 }
 
 /// Facts extracted from a function body, pre-digested for the semantic
@@ -486,7 +478,7 @@ fn parse_fn(
         return i;
     }
     let params_close = skip_group(toks, i, end);
-    let params = parse_params(toks, i + 1, params_close.saturating_sub(1), owner);
+    let params = parse_params(toks, i + 1, params_close.saturating_sub(1));
     i = params_close;
     // Return type and where clause: scan to the body `{` or a `;`
     // (trait method declaration). Generic and tuple groups are skipped so
@@ -518,7 +510,7 @@ fn parse_fn(
 }
 
 /// Parses the parameter list between the parens of a function signature.
-fn parse_params(toks: &[Token], lo: usize, hi: usize, owner: Option<&Owner>) -> Vec<Param> {
+fn parse_params(toks: &[Token], lo: usize, hi: usize) -> Vec<Param> {
     let mut out = Vec::new();
     // Split on top-level commas.
     let mut starts = vec![lo];
@@ -545,27 +537,11 @@ fn parse_params(toks: &[Token], lo: usize, hi: usize, owner: Option<&Owner>) -> 
         }
         // Receiver forms: `self`, `&self`, `&'a self`, `&mut self`,
         // `mut self`.
-        let mut mut_ref = false;
         if is_punct(toks, p, '&') {
             p += 1;
             if toks.get(p).is_some_and(|t| t.kind == TokKind::Lifetime) {
                 p += 1;
             }
-            if is_ident(toks, p, "mut") {
-                mut_ref = true;
-                p += 1;
-            }
-            if is_ident(toks, p, "self") {
-                out.push(Param {
-                    name: "self".to_string(),
-                    base_type: owner.map(|o| o.type_name.clone()).unwrap_or_default(),
-                    mut_ref,
-                });
-                continue;
-            }
-            // A reference *pattern* does not occur in param position; this
-            // was actually the start of a type-annotated pattern we cannot
-            // name — fall through with the ref info discarded.
         }
         if is_ident(toks, p, "mut") {
             p += 1;
@@ -573,54 +549,20 @@ fn parse_params(toks: &[Token], lo: usize, hi: usize, owner: Option<&Owner>) -> 
         if is_ident(toks, p, "self") {
             out.push(Param {
                 name: "self".to_string(),
-                base_type: owner.map(|o| o.type_name.clone()).unwrap_or_default(),
-                mut_ref: false,
             });
             continue;
         }
         let Some(pname) = ident_text(toks, p) else {
             continue; // destructuring pattern — out of scope
         };
-        let pname = pname.to_string();
-        p += 1;
-        if !is_punct(toks, p, ':') || is_punct(toks, p + 1, ':') {
+        if !is_punct(toks, p + 1, ':') || is_punct(toks, p + 2, ':') {
             continue;
         }
-        p += 1;
-        let (base_type, ty_mut_ref) = parse_param_type(toks, p, p_end);
         out.push(Param {
-            name: pname,
-            base_type,
-            mut_ref: ty_mut_ref,
+            name: pname.to_string(),
         });
     }
     out
-}
-
-/// Reduces a parameter type to (base name, is-&mut). Sees through `&`,
-/// lifetimes, `mut`, `dyn`, and one slice level.
-fn parse_param_type(toks: &[Token], mut p: usize, p_end: usize) -> (String, bool) {
-    let mut mut_ref = false;
-    loop {
-        if is_punct(toks, p, '&') {
-            p += 1;
-            if toks.get(p).is_some_and(|t| t.kind == TokKind::Lifetime) {
-                p += 1;
-            }
-            if is_ident(toks, p, "mut") {
-                mut_ref = true;
-                p += 1;
-            }
-        } else if is_ident(toks, p, "dyn") || is_ident(toks, p, "mut") {
-            p += 1;
-        } else if is_punct(toks, p, '[') {
-            p += 1; // slice: reduce to the element type
-        } else {
-            break;
-        }
-    }
-    let (base, _) = parse_path(toks, p, p_end);
-    (base.unwrap_or_default(), mut_ref)
 }
 
 fn push_unique(v: &mut Vec<String>, s: &str) {
@@ -783,10 +725,7 @@ mod tests {
             })
         );
         assert_eq!(f.params[0].name, "self");
-        assert_eq!(f.params[0].base_type, "CorePrivate");
-        assert!(f.params[0].mut_ref);
-        assert_eq!(f.params[1].base_type, "StateIo");
-        assert!(f.params[1].mut_ref);
+        assert_eq!(f.params[1].name, "io");
         assert_eq!(f.body.self_reads, vec!["l1d".to_string()]);
     }
 
@@ -821,9 +760,8 @@ mod tests {
         assert_eq!(ast.fns[0].body.self_muts, vec!["clock".to_string()]);
         let free = &ast.fns[1];
         assert_eq!(free.owner, None);
-        assert_eq!(free.params[1].base_type, "MemorySystem");
-        assert!(free.params[1].mut_ref);
-        assert!(!free.params[0].name.is_empty());
+        assert_eq!(free.params[0].name, "core");
+        assert_eq!(free.params[1].name, "mem");
     }
 
     #[test]

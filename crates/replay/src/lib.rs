@@ -121,18 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_under_different_thread_count() {
-        let cfg = quick_cfg();
-        let plan = RunPlan::quick();
-        let (original, log) = record_run(&cfg, plan);
-        let mut threaded = cfg.clone();
-        threaded.threads = 4;
-        let replayed = replay_run(&threaded, plan, log);
-        assert_eq!(replayed.jops, original.jops);
-        assert_eq!(replayed.trace_digest, original.trace_digest);
-    }
-
-    #[test]
     fn resume_finishes_a_checkpointed_run() {
         let cfg = quick_cfg();
         let plan = RunPlan::quick();

@@ -26,6 +26,5 @@ pub mod toml;
 
 mod spec;
 
-pub use spec::{
-    fnv1a, AppKind, CurveSpec, ScenarioOutcome, ScenarioSpec, SloSpec, SCENARIO_SPEC_VERSION,
-};
+pub use jas_simkernel::snapshot::fnv1a;
+pub use spec::{AppKind, CurveSpec, ScenarioOutcome, ScenarioSpec, SloSpec, SCENARIO_SPEC_VERSION};

@@ -12,6 +12,7 @@
 use crate::toml::{Doc, Value};
 use jas_cluster::{AutoscaleConfig, DispatchPolicy};
 use jas_faults::FaultPlan;
+use jas_simkernel::snapshot::fnv1a;
 use jas_trace::TraceSpec;
 use jas_workload::Curve;
 
@@ -368,18 +369,6 @@ impl ScenarioSpec {
             outcome.slo_miss,
         )
     }
-}
-
-/// FNV-1a over bytes — the same constants every digest in the stack
-/// uses.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Canonical number formatting: integers print without a decimal

@@ -56,6 +56,8 @@ impl Rng {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in label.bytes() {
             h ^= u64::from(b);
+            // Not the FNV prime (0x100_0000_01b3): every RNG stream
+            // depends on this constant, so it must never be "fixed".
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
         Rng::new(self.next_u64() ^ h)

@@ -2,6 +2,7 @@
 //! a deterministic merge, and the `TRACE_DIGEST` fingerprint.
 
 use crate::event::{TraceCategory, TraceEvent, TraceEventKind};
+use jas_simkernel::snapshot::WordDigest;
 use jas_simkernel::SimTime;
 
 /// Which event categories to record, parsed from `--trace <spec>`.
@@ -176,20 +177,14 @@ impl Tracer {
 /// the same events; exposed for exporter round-trip checks).
 #[must_use]
 pub fn digest_of(events: &[TraceEvent]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut d = WordDigest::new();
     for ev in events {
-        mix(ev.at.as_nanos());
-        mix(ev.trace_id);
-        mix(ev.what.code());
-        mix(ev.what.arg());
+        d.mix(ev.at.as_nanos());
+        d.mix(ev.trace_id);
+        d.mix(ev.what.code());
+        d.mix(ev.what.arg());
     }
-    hash
+    d.value()
 }
 // --- Checkpoint persistence ---
 

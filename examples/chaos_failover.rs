@@ -4,16 +4,17 @@
 //! work re-dispatches to survivors with jittered backoff, and admission
 //! control sheds excess load instead of queueing it unboundedly.
 //!
-//! Prints the fleet table plus machine-readable digest lines
-//! (`HPM_DIGEST=`, `FAULT_DIGEST=`, `CLUSTER_VERDICT=`) that the CI
-//! `cluster-smoke` job diffs across `--threads` values and both
-//! schedulers: a failover run is bit-identical no matter how the host
-//! executes it.
+//! Prints the fleet table plus the run report's digest/verdict lines
+//! (`HPM_DIGEST`, `FAULT_DIGEST`, `NODE<i>_HPM_DIGEST`,
+//! `ACTIVE_NODES`, `CLUSTER_VERDICT`) that the CI `cluster-smoke` job
+//! diffs across `--threads` values and both schedulers: a failover run
+//! is bit-identical no matter how the host executes it.
 //!
 //! ```sh
 //! cargo run --release --example chaos_failover -- --threads 4 --sched event
 //! ```
 
+use jas2004::report::RunReport;
 use jas2004::{
     figures, report, run_cluster, DispatchPolicy, FaultPlan, RunPlan, SchedMode, SutConfig,
 };
@@ -79,20 +80,6 @@ fn main() {
     print!("{}", report::render_cluster(&figures::cluster_table(&art)));
 
     // Machine-readable lines for the CI cluster-smoke diff.
-    println!("HPM_DIGEST={:#018x}", art.hpm_digest);
-    println!("TRACE_DIGEST={:#018x}", art.trace_digest);
-    println!("FAULT_DIGEST={:#018x}", art.fault_digest);
-    let v = &art.verdict;
-    println!(
-        "CLUSTER_VERDICT={} lost={} shed={} shed_fraction={:.4}",
-        if v.lost == 0 && v.verdict.passed {
-            "pass"
-        } else {
-            "fail"
-        },
-        v.lost,
-        v.shed,
-        v.shed_fraction
-    );
-    assert_eq!(v.lost, 0, "failover lost requests");
+    print!("{}", RunReport::from_cluster(&art, None));
+    assert_eq!(art.verdict.lost, 0, "failover lost requests");
 }

@@ -12,23 +12,18 @@
 
 use jas2004::{figures, report, run_artifacts_from, Engine, FaultPlan, RunPlan, SutConfig};
 use jas_cpu::HpmEvent;
+use jas_simkernel::snapshot::WordDigest;
 use jas_simkernel::SimDuration;
 
 /// FNV-1a over every per-core HPM counter in (core, event) order.
 fn hpm_digest(e: &Engine) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut d = WordDigest::new();
     for core in 0..e.machine().cores() {
         for ev in HpmEvent::ALL {
-            mix(e.machine().counters(core).get(ev));
+            d.mix(e.machine().counters(core).get(ev));
         }
     }
-    h
+    d.value()
 }
 
 fn main() {
@@ -44,22 +39,16 @@ fn main() {
 
     println!("fault storm sweep (storm at t=12..24s)");
     println!("  IR    JOPS  retries  errors  dead-letters  breaker-opens  verdict");
-    let mut fault_digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut machine_digest = 0xcbf2_9ce4_8422_2325u64;
-    let mix = |h: &mut u64, v: u64| {
-        for byte in v.to_le_bytes() {
-            *h ^= u64::from(byte);
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut fault_digest = WordDigest::new();
+    let mut machine_digest = WordDigest::new();
     for ir in [10, 25, 40] {
         let mut cfg = SutConfig::at_ir(ir);
         cfg.machine.frequency_hz = 500_000.0;
         cfg.faults.plan = FaultPlan::parse(storm).expect("storm spec parses");
         let mut engine = Engine::new(cfg.clone(), plan);
         engine.run_to_end();
-        mix(&mut fault_digest, engine.fault_log().digest());
-        mix(&mut machine_digest, hpm_digest(&engine));
+        fault_digest.mix(engine.fault_log().digest());
+        machine_digest.mix(hpm_digest(&engine));
         let art = run_artifacts_from(cfg, plan, engine);
         println!(
             "  {:>2}  {:>6.1}  {:>7}  {:>6}  {:>12}  {:>13}  {}",
@@ -85,6 +74,6 @@ fn main() {
         }
     }
     // Machine-readable lines for diffing runs.
-    println!("FAULT_DIGEST={fault_digest:#018x}");
-    println!("HPM_DIGEST={machine_digest:#018x}");
+    println!("FAULT_DIGEST={:#018x}", fault_digest.value());
+    println!("HPM_DIGEST={:#018x}", machine_digest.value());
 }

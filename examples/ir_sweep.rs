@@ -17,18 +17,16 @@
 //! JSON.
 
 use jas2004::{figures, run_experiment, RunPlan, SutConfig, TraceSpec};
+use jas_simkernel::snapshot::WordDigest;
 use jas_simkernel::SimDuration;
 
 /// FNV-1a fold of the per-point trace digests, in sweep order.
 fn fold_digests(digests: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in digests {
-        for b in d.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut d = WordDigest::new();
+    for &digest in digests {
+        d.mix(digest);
     }
-    h
+    d.value()
 }
 
 fn parse_flags() -> (TraceSpec, Option<String>, bool) {

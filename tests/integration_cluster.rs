@@ -5,11 +5,13 @@
 //! a single-node run — the legacy engine path — must stay byte-identical
 //! to a build without the cluster layer, fleet-only fault plans included.
 
+mod common;
+
+use common::per_core_hpm_digest;
 use jas2004::{
     run_cluster, ClusterArtifacts, DispatchPolicy, Engine, FaultKind, FaultPlan, FaultWindow,
     RunPlan, SchedMode, SutConfig,
 };
-use jas_cpu::HpmEvent;
 use jas_simkernel::SimDuration;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -141,24 +143,6 @@ fn each_dispatch_policy_is_reproducible() {
         assert_eq!(a.fault_digest, b.fault_digest);
         assert_eq!(a.stats, b.stats);
     }
-}
-
-/// FNV-1a over every per-core HPM counter in (core, event) order — the
-/// same digest `integration_determinism.rs` pins.
-fn per_core_hpm_digest(e: &Engine) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for core in 0..e.machine().cores() {
-        for ev in HpmEvent::ALL {
-            mix(e.machine().counters(core).get(ev));
-        }
-    }
-    h
 }
 
 /// Must match `integration_determinism.rs`: the single-node golden value.

@@ -2,6 +2,9 @@
 //! a given seed — the property that makes the figure-band tests
 //! meaningful — and its HPM digest is pinned to a golden value.
 
+mod common;
+
+use common::per_core_hpm_digest;
 use jas2004::{Engine, RunPlan, SutConfig};
 use jas_cpu::HpmEvent;
 use jas_simkernel::SimDuration;
@@ -65,33 +68,15 @@ fn per_core_counters_sum_to_total() {
     assert_eq!(sum, total.get(HpmEvent::InstCompleted));
 }
 
-/// FNV-1a over every per-core HPM counter in (core, event) order — a
-/// single number that pins the complete counter state of a run.
-fn hpm_digest(e: &Engine) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for core in 0..e.machine().cores() {
-        for ev in HpmEvent::ALL {
-            mix(e.machine().counters(core).get(ev));
-        }
-    }
-    h
-}
-
 /// Regression gate for the move to ordered containers: the HPM digest
 /// must match the golden value recorded from the earlier
 /// `HashMap`/`HashSet` tree — proving the switch changed no simulated
 /// outcome, only closed the door on order leaks.
 #[test]
-fn hpm_digest_is_stable_across_threads_and_container_migration() {
+fn hpm_digest_matches_the_golden_value_after_container_migration() {
     let mut e = Engine::new(cfg(1), plan());
     e.run_to_end();
-    let digest = hpm_digest(&e);
+    let digest = per_core_hpm_digest(&e);
     // Golden digest captured on the seed configuration (IR 15, 30 s steady,
     // seed 1) before the DetMap/DetSet migration. If this changes, either
     // the workload model changed intentionally (update the constant in the

@@ -4,8 +4,10 @@
 //! must leave the engine byte-for-byte on its legacy path (the golden
 //! HPM digest in `integration_determinism.rs` pins that separately).
 
+mod common;
+
+use common::per_core_hpm_digest;
 use jas2004::{Engine, FaultCounters, FaultPlan, RunPlan, SchedMode, SutConfig};
-use jas_cpu::HpmEvent;
 use jas_simkernel::SimDuration;
 use proptest::prelude::*;
 
@@ -28,23 +30,6 @@ fn storm_cfg() -> SutConfig {
     )
     .expect("storm spec parses");
     c
-}
-
-/// FNV-1a over every per-core HPM counter in (core, event) order.
-fn hpm_digest(e: &Engine) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for core in 0..e.machine().cores() {
-        for ev in HpmEvent::ALL {
-            mix(e.machine().counters(core).get(ev));
-        }
-    }
-    h
 }
 
 #[test]
@@ -96,7 +81,7 @@ proptest! {
         let quantum = run(SchedMode::Quantum);
         let event = run(SchedMode::Event);
         prop_assert_eq!(quantum.fault_log().digest(), event.fault_log().digest());
-        prop_assert_eq!(hpm_digest(&quantum), hpm_digest(&event));
+        prop_assert_eq!(per_core_hpm_digest(&quantum), per_core_hpm_digest(&event));
         prop_assert_eq!(quantum.fault_counters(), event.fault_counters());
     }
 }

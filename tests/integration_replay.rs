@@ -54,7 +54,7 @@ fn interrupted(cfg: &SutConfig, plan: RunPlan, at: SimTime) -> (u64, u64) {
 /// golden digests of an uninterrupted run, with the checkpoint taken
 /// mid-ramp and mid-steady.
 #[test]
-fn restore_is_bit_identical_at_threads_1_4_8() {
+fn restore_mid_ramp_and_mid_steady_is_bit_identical() {
     let cfg = cfg(1);
     let plan = plan();
     let gold = golden(&cfg, plan);

@@ -6,10 +6,14 @@
 //! counters, and `--fault-plan @FILE` errors keep both the file path
 //! and the `plan[i]` position.
 
+mod common;
+
+use common::per_core_hpm_digest;
+use jas2004::cli::{parse_args, Cli};
 use jas2004::{
-    run_cluster_with, AutoscaleConfig, Engine, RunPlan, ScenarioKind, SchedMode, SutConfig,
+    run_cluster, run_cluster_with, run_experiment, AutoscaleConfig, Engine, RunPlan, ScenarioKind,
+    SchedMode, SutConfig,
 };
-use jas_cpu::HpmEvent;
 use jas_scenario::ScenarioSpec;
 use jas_simkernel::SimDuration;
 use jas_workload::{Curve, Driver, DriverConfig};
@@ -58,24 +62,6 @@ fn config_from(spec: &ScenarioSpec, threads: usize, sched: SchedMode) -> (SutCon
     (c, plan)
 }
 
-/// FNV-1a over every per-core HPM counter in (core, event) order — the
-/// same digest `integration_determinism.rs` pins.
-fn per_core_hpm_digest(e: &Engine) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for core in 0..e.machine().cores() {
-        for ev in HpmEvent::ALL {
-            mix(e.machine().counters(core).get(ev));
-        }
-    }
-    h
-}
-
 #[test]
 fn seed_scenario_digests_are_pinned() {
     for (name, golden) in SEED_SCENARIOS {
@@ -98,7 +84,7 @@ fn seed_scenario_digests_are_pinned() {
 /// Time-varying load through the single-engine path: the diurnal
 /// scenario's per-core counters are bit-identical under both schedulers.
 #[test]
-fn diurnal_scenario_is_thread_and_scheduler_invariant() {
+fn diurnal_scenario_is_scheduler_invariant() {
     let spec = load("diurnal-24h");
     assert!(!spec.compile_curve().is_flat());
     let (cfg, plan) = config_from(&spec, 1, SchedMode::Quantum);
@@ -279,33 +265,101 @@ fn scenario_digest_pin_mismatch_exits_nonzero() {
     assert!(stderr.contains("digest pin mismatch"), "{stderr}");
 }
 
-/// End-to-end: the real binary runs a seed scenario (shortened by flag
-/// overrides, which never move the spec digest) and prints the pinned
-/// `SCENARIO_DIGEST` plus a verdict line.
+/// The output contract, end to end: on a plain single engine, a plain
+/// fleet and a seed scenario (each shortened by flags, which never move a
+/// spec digest) the binary prints exactly the ordered report lines the
+/// path calls for, `TRACE_DIGEST`/`FAULT_DIGEST` carry `events=` on
+/// both paths, and every printed digest equals the library's value.
 #[test]
 fn binary_prints_the_pinned_digest_and_a_verdict() {
-    let out = Command::new(env!("CARGO_BIN_EXE_jas2004"))
-        .arg("--scenario")
-        .arg(scenario_path("steady-40"))
-        .args(["--steady", "4", "--ramp", "1"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("SCENARIO_DIGEST=0x00fabaaee9ea8bb2"),
-        "flag overrides must not move the spec digest: {stdout}"
-    );
-    assert!(
-        stdout.lines().any(|l| l.starts_with("SCENARIO_VERDICT=")
-            && l.contains("name=steady-40")
-            && l.contains("slo_miss=")),
-        "verdict line missing: {stdout}"
-    );
+    let steady_40 = scenario_path("steady-40").display().to_string();
+    let short = [
+        "--ir", "10", "--ramp", "2", "--steady", "6", "--figure", "2",
+    ];
+    let runs: [(Vec<&str>, &[&str]); 3] = [
+        (
+            [
+                &short[..],
+                &["--trace", "all", "--fault-plan", "db-lock@3-6:0.35"],
+            ]
+            .concat(),
+            &["HPM_DIGEST", "TRACE_DIGEST", "FAULT_DIGEST"],
+        ),
+        (
+            [&short[..], &["--nodes", "2", "--trace", "all"]].concat(),
+            &[
+                "HPM_DIGEST",
+                "TRACE_DIGEST",
+                "NODE0_HPM_DIGEST",
+                "NODE1_HPM_DIGEST",
+                "ACTIVE_NODES",
+                "CLUSTER_VERDICT",
+            ],
+        ),
+        (
+            vec!["--scenario", &steady_40, "--steady", "4", "--ramp", "1"],
+            &["SCENARIO_DIGEST", "HPM_DIGEST", "SCENARIO_VERDICT"],
+        ),
+    ];
+    for (args, want_keys) in runs {
+        let out = Command::new(env!("CARGO_BIN_EXE_jas2004"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let printed: Vec<(&str, &str)> = stdout
+            .lines()
+            .filter_map(|l| l.split_once('='))
+            .filter(|(key, _)| {
+                !key.is_empty()
+                    && key
+                        .bytes()
+                        .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
+            })
+            .collect();
+        let keys: Vec<&str> = printed.iter().map(|&(key, _)| key).collect();
+        assert_eq!(keys, want_keys, "{args:?}: report lines out of contract");
+
+        // The library's values for the same flags.
+        let Ok(Cli::Run(o)) = parse_args(&args) else {
+            panic!("{args:?} must parse");
+        };
+        let hex = |d: u64| format!("{d:#018x}");
+        let mut library = vec![("SCENARIO_DIGEST".to_string(), hex(SEED_SCENARIOS[0].1))];
+        if o.nodes > 1 {
+            let art = run_cluster(&o.config, o.plan, o.nodes, o.dispatch);
+            library.push(("HPM_DIGEST".into(), hex(art.hpm_digest)));
+            let trace = format!("{} events={}", hex(art.trace_digest), art.trace_events);
+            library.push(("TRACE_DIGEST".into(), trace));
+            for (i, &d) in art.node_hpm_digests.iter().enumerate() {
+                library.push((format!("NODE{i}_HPM_DIGEST"), hex(d)));
+            }
+            let active = format!("{} scale_ups=0 scale_downs=0", art.active_nodes);
+            library.push(("ACTIVE_NODES".into(), active));
+        } else {
+            let art = run_experiment(o.config, o.plan);
+            library.push(("HPM_DIGEST".into(), hex(art.hpm_digest)));
+            let trace = format!("{} events={}", hex(art.trace_digest), art.trace.len());
+            library.push(("TRACE_DIGEST".into(), trace));
+            let faults = format!("{} events={}", hex(art.fault_digest), art.fault_events);
+            library.push(("FAULT_DIGEST".into(), faults));
+        }
+        for (key, value) in printed {
+            let want = library.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            if key.ends_with("_DIGEST") || want.is_some() {
+                assert_eq!(
+                    Some(value),
+                    want.map(String::as_str),
+                    "{args:?}: {key} differs from the library"
+                );
+            }
+        }
+    }
 }
 
 /// The scenario kinds route to the right application.

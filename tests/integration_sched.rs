@@ -6,8 +6,10 @@
 //! skipping provably idle quanta is *unobservable*; these tests are the
 //! observability check.
 
+mod common;
+
+use common::per_core_hpm_digest;
 use jas2004::{checkpoint_bytes, restore_engine, Engine, FaultPlan, RunPlan, SchedMode, SutConfig};
-use jas_cpu::HpmEvent;
 use jas_simkernel::{SimDuration, SimTime};
 use jas_trace::TraceSpec;
 use proptest::prelude::*;
@@ -47,24 +49,6 @@ fn storm_cfg(sched: SchedMode) -> SutConfig {
     c
 }
 
-/// FNV-1a over every per-core HPM counter in (core, event) order — the
-/// same digest the determinism gate pins.
-fn hpm_digest(e: &Engine) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for core in 0..e.machine().cores() {
-        for ev in HpmEvent::ALL {
-            mix(e.machine().counters(core).get(ev));
-        }
-    }
-    h
-}
-
 fn finished(cfg: SutConfig) -> Engine {
     let mut e = Engine::new(cfg, plan());
     e.run_to_end();
@@ -75,13 +59,13 @@ fn finished(cfg: SutConfig) -> Engine {
 /// schedulers — and the event scheduler actually skipped something, so
 /// the equality is not vacuous.
 #[test]
-fn event_scheduler_digests_match_quantum_at_every_thread_count() {
+fn event_scheduler_digests_match_quantum() {
     let golden = finished(traced_cfg(SchedMode::Quantum));
     assert!(!golden.tracer().is_empty());
     let event = finished(traced_cfg(SchedMode::Event));
     assert_eq!(
-        hpm_digest(&event),
-        hpm_digest(&golden),
+        per_core_hpm_digest(&event),
+        per_core_hpm_digest(&golden),
         "HPM digest diverges"
     );
     assert_eq!(
@@ -119,8 +103,8 @@ fn event_scheduler_matches_quantum_under_a_fault_storm() {
     );
     let event = finished(storm_cfg(SchedMode::Event));
     assert_eq!(
-        hpm_digest(&event),
-        hpm_digest(&quantum),
+        per_core_hpm_digest(&event),
+        per_core_hpm_digest(&quantum),
         "HPM digest diverges under the storm"
     );
     assert_eq!(
@@ -138,7 +122,7 @@ fn event_scheduler_matches_quantum_under_a_fault_storm() {
 #[test]
 fn checkpoints_cross_schedulers_in_both_directions() {
     let golden = finished(traced_cfg(SchedMode::Quantum));
-    let golden_digest = hpm_digest(&golden);
+    let golden_digest = per_core_hpm_digest(&golden);
     let golden_trace = golden.tracer().digest();
 
     for (from, to) in [
@@ -152,7 +136,7 @@ fn checkpoints_cross_schedulers_in_both_directions() {
             .expect("cross-scheduler restore validates");
         resumed.run_to_end();
         assert_eq!(
-            hpm_digest(&resumed),
+            per_core_hpm_digest(&resumed),
             golden_digest,
             "restore {from:?} -> {to:?} diverges from the straight run"
         );
@@ -183,7 +167,7 @@ proptest! {
             c.sched = sched;
             let mut e = Engine::new(c, short);
             e.run_to_end();
-            (hpm_digest(&e), e.completed_requests())
+            (per_core_hpm_digest(&e), e.completed_requests())
         };
         prop_assert_eq!(run(SchedMode::Quantum), run(SchedMode::Event));
     }

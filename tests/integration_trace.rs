@@ -4,8 +4,10 @@
 //! simulation, it never perturbs it), and the exporters round-trip the
 //! event stream losslessly.
 
+mod common;
+
+use common::per_core_hpm_digest;
 use jas2004::{Engine, RunPlan, SchedMode, SutConfig, TraceSpec};
-use jas_cpu::HpmEvent;
 use jas_simkernel::SimDuration;
 use jas_trace::{digest_of, export, json};
 use proptest::prelude::*;
@@ -34,25 +36,6 @@ fn traced_engine(seed: u64) -> Engine {
     e
 }
 
-/// FNV-1a over every per-core HPM counter in (core, event) order — the
-/// same digest the determinism gate pins (see
-/// `integration_determinism.rs`).
-fn hpm_digest(e: &Engine) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for core in 0..e.machine().cores() {
-        for ev in HpmEvent::ALL {
-            mix(e.machine().counters(core).get(ev));
-        }
-    }
-    h
-}
-
 /// Golden value shared with `integration_determinism.rs`: the complete
 /// per-core counter state of the seed configuration.
 const GOLDEN_HPM_DIGEST: u64 = 4_647_797_724_068_322_213;
@@ -67,7 +50,7 @@ fn disabled_tracer_reproduces_golden_hpm_digest() {
     e.run_to_end();
     assert!(e.tracer().is_empty(), "an off tracer records nothing");
     assert_eq!(
-        hpm_digest(&e),
+        per_core_hpm_digest(&e),
         GOLDEN_HPM_DIGEST,
         "a disabled tracer must leave the simulation byte-identical"
     );
@@ -80,7 +63,7 @@ fn enabled_tracer_does_not_perturb_the_simulation() {
     let e = traced_engine(1);
     assert!(!e.tracer().is_empty());
     assert_eq!(
-        hpm_digest(&e),
+        per_core_hpm_digest(&e),
         GOLDEN_HPM_DIGEST,
         "tracing must observe the run, never alter it"
     );
