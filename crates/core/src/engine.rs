@@ -288,11 +288,7 @@ impl Engine {
             )),
         };
         let appserver = AppServer::new(cfg.appserver);
-        let fp = FootprintConfig {
-            heap_bytes: cfg.jvm.heap.capacity,
-            jit_code_bytes: 10 << 20,
-            buffer_pool_bytes: cfg.db.pool_pages as u64 * cfg.db.page_bytes,
-        };
+        let fp = FootprintConfig::of(&cfg);
         let cores = cfg.machine.topology.cores();
         // Fork order is component-major (stable across layout changes);
         // storage is row-per-core.
@@ -2428,6 +2424,29 @@ mod tests {
         cfg.jvm.heap.capacity = 8 << 20;
         cfg.jvm.live_target = 2 << 20;
         Engine::new(cfg, RunPlan::quick())
+    }
+
+    /// Footprint guard: the 44 generators of an engine hold one code table
+    /// per distinct code window plus one hot-rank table, and a second
+    /// engine of the same config adds none. Per-generator copies would
+    /// cost ~23 MB of host memory per engine.
+    #[test]
+    fn stream_generators_share_their_zipf_tables() {
+        let (a, b) = (quick_engine(), quick_engine());
+        let mut distinct: Vec<&jas_simkernel::dist::Zipf> = Vec::new();
+        for z in a.gens.iter().flatten().flat_map(StreamGen::zipfs) {
+            if !distinct.iter().any(|d| d.shares_table(z)) {
+                distinct.push(z);
+            }
+        }
+        assert!(distinct.len() <= 8, "{} distinct tables", distinct.len());
+        for z in b.gens.iter().flatten().flat_map(StreamGen::zipfs) {
+            assert!(
+                distinct.iter().any(|d| d.shares_table(z)),
+                "second engine built its own table of {} ranks",
+                z.len()
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! and a shared *cold* tail over the full heap/buffer pool that falls
 //! through to L3 and memory.
 
+use crate::config::SutConfig;
 use jas_cpu::{AccessPattern, DataRegion, Region, StreamProfile, Window};
 use jas_jvm::Component;
 
@@ -28,6 +29,18 @@ pub struct FootprintConfig {
     pub jit_code_bytes: u64,
     /// DB buffer-pool bytes (scaled).
     pub buffer_pool_bytes: u64,
+}
+
+impl FootprintConfig {
+    /// The footprint `Engine::new` sizes its streams with for `cfg`.
+    #[must_use]
+    pub fn of(cfg: &SutConfig) -> Self {
+        FootprintConfig {
+            heap_bytes: cfg.jvm.heap.capacity,
+            jit_code_bytes: 10 << 20,
+            buffer_pool_bytes: cfg.db.pool_pages as u64 * cfg.db.page_bytes,
+        }
+    }
 }
 
 impl Default for FootprintConfig {

@@ -416,6 +416,7 @@ impl StreamGen {
     pub fn new(profile: StreamProfile, rng: Rng, salt: u64) -> Self {
         profile.validate();
         let slots = Self::code_slots(&profile);
+        // Both tables are interned: generators with the same key share them.
         let code_zipf = Zipf::new(slots, profile.code_zipf);
         let hot_zipf = Zipf::new(HOT_RANKS, 1.0);
         let region_weights: Vec<f64> = profile.data.iter().map(|r| r.weight).collect();
@@ -481,6 +482,13 @@ impl StreamGen {
     #[must_use]
     pub fn profile(&self) -> &StreamProfile {
         &self.profile
+    }
+
+    /// The generator's code-location and hot-rank Zipf handles, whose
+    /// tables every generator with the same key shares.
+    #[must_use]
+    pub fn zipfs(&self) -> [&Zipf; 2] {
+        [&self.code_zipf, &self.hot_zipf]
     }
 
     /// Produces the next instruction: its fetch address and its effect.

@@ -7,6 +7,7 @@
 //! the standard choices for transaction-processing models.
 
 use crate::Rng;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
 ///
@@ -133,6 +134,16 @@ impl Normal {
 /// uses a precomputed cumulative table, so construction is `O(n)` and
 /// sampling is `O(1)` amortized (a fixed-point bucket index into the CDF).
 ///
+/// **Shared tables.** A `Zipf` is a handle on an immutable `ZipfTable`.
+/// [`Zipf::new`] interns tables process-wide, keyed by `(n, s.to_bits())`,
+/// so every generator of an engine, every node of a fleet and the
+/// workload's catalog draw from one copy per distinct pair instead of each
+/// holding its own (a 40,960-rank code table is ~672 KB). The first call
+/// for a key builds the table under the interner's lock; later calls cost
+/// that lock and a scan of the few interned keys, and `Clone` costs one
+/// reference-count bump. Tables are never freed: the key set is fixed by
+/// the configuration (see `interned`).
+///
 /// **Sampling exactness.** The natural form — binary-search the f64 CDF for
 /// `u = next_f64()` — and the fast form below return the same rank for every
 /// generator state. `next_f64()` is `m * 2^-53` with `m = next_u64() >> 11`,
@@ -146,6 +157,12 @@ impl Normal {
 /// binary search.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Zipf {
+    table: Arc<ZipfTable>,
+}
+
+/// The immutable sampling tables behind a [`Zipf`] handle.
+#[derive(Debug, PartialEq)]
+struct ZipfTable {
     cdf: Vec<f64>,
     /// `floor(cdf[i] * 2^53)`: rank `i` is drawn for `m` in
     /// `[thresh[i-1], thresh[i])` (see sampling exactness above).
@@ -157,23 +174,36 @@ pub struct Zipf {
     strict: bool,
 }
 
-/// log2 of the bucket count in [`Zipf::bucket_lo`].
+/// log2 of the bucket count in [`ZipfTable::bucket_lo`].
 const ZIPF_BUCKET_BITS: u32 = 13;
 
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative/non-finite.
-    #[must_use]
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(n < u32::MAX as usize, "Zipf rank count too large: {n}");
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "exponent must be non-negative, got {s}"
-        );
+/// Interned key: rank count and the exponent's bit pattern.
+type ZipfKey = (usize, u64);
+
+/// The process-wide table interner behind [`Zipf::new`].
+///
+/// A `Vec` scanned linearly, not a hash map (jas-lint D001): the key set is
+/// fixed by the configuration, 9 keys in a full run today — one
+/// 4096-rank hot table shared by every stream generator, one catalog table
+/// for the workload, and one code table per distinct code window and
+/// exponent (seven). Entries are only ever appended whole, so a guard
+/// recovered from a poisoned lock still holds a valid list.
+fn interned(n: usize, s: f64) -> Arc<ZipfTable> {
+    static TABLES: Mutex<Vec<(ZipfKey, Arc<ZipfTable>)>> = Mutex::new(Vec::new());
+    let key = (n, s.to_bits());
+    let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, t)) = tables.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(t);
+    }
+    // Built under the lock, so concurrent first calls for one key (fleet
+    // lanes, parallel tests) still end with a single table.
+    let t = Arc::new(ZipfTable::build(n, s));
+    tables.push((key, Arc::clone(&t)));
+    t
+}
+
+impl ZipfTable {
+    fn build(n: usize, s: f64) -> Self {
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -197,7 +227,7 @@ impl Zipf {
             }
             bucket_lo.push(i);
         }
-        Zipf {
+        ZipfTable {
             cdf,
             thresh,
             bucket_lo,
@@ -205,26 +235,9 @@ impl Zipf {
         }
     }
 
-    /// Number of ranks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// `true` if there is exactly one rank (degenerate but allowed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        // Construction guarantees n > 0, so this is always false; provided
-        // for API symmetry with `len`.
-        false
-    }
-
-    /// Draws a rank in `0..n`.
+    /// The rank drawn for the 53-bit roll `m` (see sampling exactness).
     #[inline]
-    pub fn sample(&self, rng: &mut Rng) -> usize {
-        // The 53-bit numerator `next_f64()` would have used; one draw
-        // either way, so the generator stream is unchanged.
-        let m = rng.next_u64() >> 11;
+    fn rank(&self, m: u64) -> usize {
         if self.strict {
             let b = (m >> (53 - ZIPF_BUCKET_BITS)) as usize;
             let mut i = self.bucket_lo[b] as usize;
@@ -240,6 +253,55 @@ impl Zipf {
         {
             Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
         }
+    }
+}
+
+impl Zipf {
+    /// Creates a Zipf distribution over `n` ranks with exponent `s`, sharing
+    /// the table of any earlier `Zipf` with the same `n` and `s` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `s` is negative/non-finite.
+    #[must_use]
+    pub fn new(n: usize, s: f64) -> Self {
+        assert!(n > 0, "Zipf needs at least one rank");
+        assert!(n < u32::MAX as usize, "Zipf rank count too large: {n}");
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "exponent must be non-negative, got {s}"
+        );
+        Zipf {
+            table: interned(n, s),
+        }
+    }
+
+    /// `true` if `self` and `other` draw from the same table in memory.
+    #[must_use]
+    pub fn shares_table(&self, other: &Zipf) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
+    }
+
+    /// Number of ranks.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.table.cdf.len()
+    }
+
+    /// `true` if there is exactly one rank (degenerate but allowed).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        // Construction guarantees n > 0, so this is always false; provided
+        // for API symmetry with `len`.
+        false
+    }
+
+    /// Draws a rank in `0..n`.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        // The 53-bit numerator `next_f64()` would have used; one draw
+        // either way, so the generator stream is unchanged.
+        self.table.rank(rng.next_u64() >> 11)
     }
 }
 
@@ -384,14 +446,17 @@ mod tests {
             (65536, 0.4),
         ];
         for &(n, s) in &shapes {
+            // An interned handle: the table every generator samples from.
             let z = Zipf::new(n, s);
-            assert!(z.strict, "simulator-range CDFs are strictly increasing");
+            assert!(z.shares_table(&Zipf::new(n, s)));
+            let t = &*z.table;
+            assert!(t.strict, "simulator-range CDFs are strictly increasing");
             let reference = |u: f64| -> usize {
-                match z
+                match t
                     .cdf
                     .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
                 {
-                    Ok(i) | Err(i) => i.min(z.cdf.len() - 1),
+                    Ok(i) | Err(i) => i.min(t.cdf.len() - 1),
                 }
             };
             let mut rng = Rng::new(77);
@@ -399,7 +464,7 @@ mod tests {
             // Rolls are clamped to the real draw domain [0, 2^53): the last
             // threshold is floor(1.0 * 2^53) = 2^53, which no draw produces.
             let max_m = (1u64 << 53) - 1;
-            let mut rolls: Vec<u64> = z
+            let mut rolls: Vec<u64> = t
                 .thresh
                 .iter()
                 .step_by((n / 64).max(1))
@@ -417,16 +482,8 @@ mod tests {
             }
             for m in rolls {
                 let u = m as f64 * (1.0 / (1u64 << 53) as f64);
-                // Drive `sample` with a generator pinned to produce `m`.
-                let got = {
-                    let b = (m >> (53 - ZIPF_BUCKET_BITS)) as usize;
-                    let mut i = z.bucket_lo[b] as usize;
-                    while i < z.thresh.len() && z.thresh[i] < m {
-                        i += 1;
-                    }
-                    i.min(z.cdf.len() - 1)
-                };
-                assert_eq!(got, reference(u), "n={n} s={s} m={m}");
+                // `sample` is `rank` of one 53-bit roll.
+                assert_eq!(t.rank(m), reference(u), "n={n} s={s} m={m}");
             }
         }
     }
@@ -440,5 +497,38 @@ mod tests {
         let _ = z.sample(&mut a);
         let _ = b.next_u64();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn zipf_tables_are_shared_per_key() {
+        let a = Zipf::new(4096, 1.0);
+        let b = Zipf::new(4096, 1.0);
+        assert!(a.shares_table(&b));
+        assert!(a.shares_table(&a.clone()));
+        // Keyed on the exponent's bits: the next f64 above 1.0 and a
+        // different rank count each get their own table.
+        assert!(!a.shares_table(&Zipf::new(4096, f64::from_bits(1.0f64.to_bits() + 1))));
+        assert!(!a.shares_table(&Zipf::new(4095, 1.0)));
+    }
+
+    /// Two threads building one new key at the same moment end up with a
+    /// single table, as fleet lanes and parallel tests do.
+    #[test]
+    fn zipf_concurrent_first_builds_share_one_table() {
+        let start = std::sync::Barrier::new(2);
+        let build = || {
+            start.wait();
+            // A key no other test uses, so neither thread finds it built.
+            Zipf::new(12_345, 0.77)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(build);
+            let b = s.spawn(build);
+            (
+                a.join().expect("builder thread panicked"),
+                b.join().expect("builder thread panicked"),
+            )
+        });
+        assert!(a.shares_table(&b));
     }
 }
