@@ -127,13 +127,14 @@ pub enum MemEvent {
         /// Instruction address that missed.
         addr: u64,
     },
-    /// L1 D-cache demand load miss, with the pipeline overlap factor the
-    /// core computed from its burst window when the miss was recorded.
+    /// L1 D-cache demand load miss, with the burst classification the
+    /// core made from its burst window when the miss was recorded.
     LoadMiss {
         /// Effective address that missed.
         addr: u64,
-        /// Fraction of the miss latency exposed to the pipeline.
-        overlap: f64,
+        /// Whether the miss fell within a burst: reconciliation charges
+        /// `overlap_burst` of the latency if so, `overlap_isolated` if not.
+        burst: bool,
     },
     /// Write-through store (always reaches the L2, hit or miss).
     Store {
@@ -376,6 +377,14 @@ impl Persist for MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mem_event_fits_sixteen_bytes() {
+        // Counted footprint guard: every recorded miss, store and prefetch
+        // sits in a per-core buffer that grows during GC slices, so an
+        // event must stay an address plus a tag.
+        assert!(std::mem::size_of::<MemEvent>() <= 16);
+    }
 
     fn system() -> MemorySystem {
         MemorySystem::new(

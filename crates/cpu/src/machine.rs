@@ -291,15 +291,10 @@ impl CorePrivate {
                     let burst =
                         c.op_index.wrapping_sub(c.last_l1d_miss_op) <= cost.burst_window_ops;
                     c.last_l1d_miss_op = c.op_index;
-                    let overlap = if burst {
-                        cost.overlap_burst
-                    } else {
-                        cost.overlap_isolated
-                    };
                     // Provisional L2-hit charge; reconciliation walks the
                     // real hierarchy and charges the difference.
-                    events.push(MemEvent::LoadMiss { addr: ea, overlap });
-                    cycles += cost.l2_latency * overlap;
+                    events.push(MemEvent::LoadMiss { addr: ea, burst });
+                    cycles += cost.l2_latency * cost.load_overlap(burst);
                     // Dispatch rejects: some misses cause group reissue.
                     if c.noise_f64() < cost.reissue_on_miss_prob {
                         c.counters.bump(HpmEvent::GroupReissues);
@@ -513,10 +508,11 @@ pub fn reconcile_core(
                 core.counters.bump(hpm_event);
                 correction += (latency - cost.l2_latency) * cost.inst_overlap;
             }
-            MemEvent::LoadMiss { addr, overlap } => {
+            MemEvent::LoadMiss { addr, burst } => {
                 let source = mem.load_miss(chip, addr);
                 core.counters.bump(data_event(source));
-                correction += (data_latency(cost, source) - cost.l2_latency) * overlap;
+                correction +=
+                    (data_latency(cost, source) - cost.l2_latency) * cost.load_overlap(burst);
             }
             MemEvent::Store { addr } => {
                 let _l2_hit = mem.store(chip, addr);

@@ -106,6 +106,21 @@ impl Default for CostModel {
     }
 }
 
+impl CostModel {
+    /// Fraction of an L1 D-miss's latency exposed to the pipeline:
+    /// [`CostModel::overlap_burst`] within a burst, otherwise
+    /// [`CostModel::overlap_isolated`].
+    #[inline]
+    #[must_use]
+    pub fn load_overlap(&self, burst: bool) -> f64 {
+        if burst {
+            self.overlap_burst
+        } else {
+            self.overlap_isolated
+        }
+    }
+}
+
 /// Accumulates fractional cycle-like quantities and flushes whole units into
 /// a [`CounterFile`], carrying the remainder.
 ///
@@ -119,28 +134,18 @@ pub struct FracCounter {
 impl FracCounter {
     /// Adds `amount` (may be fractional) of `event` into `counters`.
     ///
-    /// The two compare-guarded early arms are exact shortcuts for the
-    /// general `floor()` arm below them: with `carry >= 0`,
-    /// `carry < 1.0` means `floor(carry) == 0` (nothing to flush) and
-    /// `carry < 2.0` means `floor(carry) == 1.0`, so `carry -= 1.0`
-    /// performs the identical f64 subtraction. They exist because this
-    /// runs three times per simulated instruction and the typical
-    /// per-instruction amounts are below 2, making `floor` + f64→u64
-    /// conversion the hot loop's most expensive arithmetic.
+    /// Branch-free flush: for the non-negative finite carry this keeps,
+    /// truncation toward zero is `floor`, `whole as f64` is exact below
+    /// 2^53, and adding 0 to a counter is a no-op, so this equals the
+    /// `floor()` form bit for bit. It runs three times per simulated
+    /// instruction, and `floor` is a libm call on the baseline x86-64
+    /// target (no SSE4.1).
     pub fn add(&mut self, counters: &mut CounterFile, event: HpmEvent, amount: f64) {
         debug_assert!(amount >= 0.0, "negative counter amount");
         self.carry += amount;
-        if self.carry < 1.0 {
-            return;
-        }
-        if self.carry < 2.0 {
-            counters.add(event, 1);
-            self.carry -= 1.0;
-            return;
-        }
-        let whole = self.carry.floor();
-        counters.add(event, whole as u64);
-        self.carry -= whole;
+        let whole = self.carry as u64;
+        counters.add(event, whole);
+        self.carry -= whole as f64;
     }
 }
 // --- Checkpoint persistence -------------------------------------------------
@@ -183,6 +188,50 @@ mod tests {
         assert!((2..=3).contains(&got), "got {got}");
         fc.add(&mut counters, HpmEvent::Cycles, 0.0);
         assert!(counters.get(HpmEvent::Cycles) <= 3);
+    }
+
+    /// The compare-and-`floor()` form `FracCounter::add` replaced, kept as
+    /// the reference for the differential test below.
+    fn add_with_floor(carry: &mut f64, counters: &mut CounterFile, amount: f64) {
+        *carry += amount;
+        if *carry < 1.0 {
+            return;
+        }
+        if *carry < 2.0 {
+            counters.add(HpmEvent::Cycles, 1);
+            *carry -= 1.0;
+            return;
+        }
+        let whole = carry.floor();
+        counters.add(HpmEvent::Cycles, whole as u64);
+        *carry -= whole;
+    }
+
+    #[test]
+    fn frac_counter_matches_the_floor_form_bit_for_bit() {
+        let fixed = [0.0, 0.2, 0.75, 1.75, 13.0, 320.5];
+        let mut rng = jas_simkernel::Rng::new(0xF1AC);
+        // Per-uop amounts are mostly below 2; misses charge up to a few
+        // hundred cycles at once.
+        let drawn = (0..100_000).map(|_| {
+            let scale = [1.0, 2.5, 40.0, 400.0][rng.next_below(4) as usize];
+            rng.next_f64() * scale
+        });
+        let mut fc = FracCounter::default();
+        let mut counters = CounterFile::new();
+        let mut ref_carry = 0.0f64;
+        let mut ref_counters = CounterFile::new();
+        for amount in fixed.into_iter().chain(drawn) {
+            fc.add(&mut counters, HpmEvent::Cycles, amount);
+            add_with_floor(&mut ref_carry, &mut ref_counters, amount);
+            assert_eq!(fc.carry.to_bits(), ref_carry.to_bits(), "amount {amount}");
+            assert_eq!(
+                counters.get(HpmEvent::Cycles),
+                ref_counters.get(HpmEvent::Cycles),
+                "amount {amount}"
+            );
+        }
+        assert!(counters.get(HpmEvent::Cycles) > 1_000_000);
     }
 
     #[test]

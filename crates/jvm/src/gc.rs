@@ -9,7 +9,7 @@
 //! pass the allocator mostly amortizes.
 
 use crate::heap::SimHeap;
-use crate::object::ObjectId;
+use crate::object::{ObjectId, Refs};
 use std::collections::VecDeque;
 
 /// Order in which the marker traverses the object graph.
@@ -136,9 +136,8 @@ pub fn collect_minor(heap: &mut SimHeap, roots: &[ObjectId], policy: GcPolicy) -
         }
     }
     for old in scan_children_of {
-        report.edges_traversed += heap.slots[old.index()].refs.len() as u64;
-        let children = heap.slots[old.index()].refs.clone();
-        for c in children {
+        for c in heap.refs(old) {
+            report.edges_traversed += 1;
             let slot = &heap.slots[c.index()];
             if slot.allocated && slot.young {
                 minor_roots.push(c);
@@ -171,13 +170,10 @@ fn mark_young(
         }
     }
     while let Some(id) = stack.pop() {
-        let (size, refs) = {
-            let s = &heap.slots[id.index()];
-            (s.size, s.refs.clone())
-        };
+        let s = heap.slots[id.index()];
         report.marked_objects += 1;
-        report.marked_bytes += size;
-        for r in refs {
+        report.marked_bytes += u64::from(s.size);
+        for r in Refs::new(&heap.links, s.ref_head) {
             report.edges_traversed += 1;
             let slot = &mut heap.slots[r.index()];
             if slot.allocated && slot.young && !slot.marked {
@@ -234,18 +230,15 @@ fn mark(heap: &mut SimHeap, roots: &[ObjectId], traversal: Traversal, report: &m
             Traversal::AddressOrdered => addr_heap.pop().map(|Reverse((_, id))| id),
         };
         let Some(id) = next else { break };
-        let (addr, size, refs) = {
-            let s = &heap.slots[id.index()];
-            (s.addr, s.size, s.refs.clone())
-        };
+        let s = heap.slots[id.index()];
         report.marked_objects += 1;
-        report.marked_bytes += size;
+        report.marked_bytes += u64::from(s.size);
         if let Some(prev) = last_addr {
-            jump_total += (addr as f64 - prev as f64).abs();
+            jump_total += (s.addr as f64 - prev as f64).abs();
             steps += 1;
         }
-        last_addr = Some(addr);
-        for r in refs {
+        last_addr = Some(s.addr);
+        for r in Refs::new(&heap.links, s.ref_head) {
             report.edges_traversed += 1;
             let slot = &mut heap.slots[r.index()];
             if slot.allocated && !slot.marked {
@@ -286,6 +279,28 @@ mod tests {
     use crate::heap::HeapConfig;
     use crate::object::ObjectClass;
     use jas_simkernel::Rng;
+
+    /// `pinned_graph_reports` per traversal. Only the full collections'
+    /// `mark_jump_mean` (last word) differs by traversal; the minor
+    /// collector does not measure it.
+    #[rustfmt::skip]
+    const PINNED_DFS: [[u64; 11]; 3] = [
+        [267, 56904, 666, 133, 27768, 0, 0, 4137184, 216, 56904, 0],
+        [451, 96840, 1158, 216, 49408, 0, 0, 4096680, 784, 96840, 4675137722737917224],
+        [572, 120008, 1451, 279, 55264, 1, 90736, 4074296, 0, 120008, 4676618374669113340],
+    ];
+    #[rustfmt::skip]
+    const PINNED_BFS: [[u64; 11]; 3] = [
+        [267, 56904, 666, 133, 27768, 0, 0, 4137184, 216, 56904, 0],
+        [451, 96840, 1158, 216, 49408, 0, 0, 4096680, 784, 96840, 4675672622928034384],
+        [572, 120008, 1451, 279, 55264, 1, 90736, 4074296, 0, 120008, 4676505456172853424],
+    ];
+    #[rustfmt::skip]
+    const PINNED_ADDR: [[u64; 11]; 3] = [
+        [267, 56904, 666, 133, 27768, 0, 0, 4137184, 216, 56904, 0],
+        [451, 96840, 1158, 216, 49408, 0, 0, 4096680, 784, 96840, 4669664136395881913],
+        [572, 120008, 1451, 279, 55264, 1, 90736, 4074296, 0, 120008, 4670039468988595363],
+    ];
 
     fn heap() -> SimHeap {
         SimHeap::new(HeapConfig {
@@ -459,6 +474,66 @@ mod tests {
         // mark should be >80% of GC work as in the paper.
         let f = r.mark_fraction(25.0, 1.0);
         assert!(f > 0.8, "mark fraction {f}");
+    }
+
+    /// A seeded random graph grown over three rounds, closed by a minor, a
+    /// full and a compacting collection in turn.
+    fn pinned_graph_reports(traversal: Traversal) -> Vec<Vec<u64>> {
+        let classes = [
+            ObjectClass::Small,
+            ObjectClass::Bean,
+            ObjectClass::CharArray,
+            ObjectClass::Array,
+            ObjectClass::Session,
+        ];
+        let mut h = heap();
+        let mut rng = Rng::new(0x6C_0DE);
+        let mut ids: Vec<ObjectId> = Vec::new();
+        let mut reports = Vec::new();
+        for round in 0..3 {
+            for _ in 0..400 {
+                let class = classes[rng.next_below(classes.len() as u64) as usize];
+                let refs: Vec<ObjectId> = (0..class.ref_slots().min(3))
+                    .filter_map(|_| rng.pick(&ids).copied())
+                    .collect();
+                let id = h.allocate(class, &refs).unwrap();
+                if rng.chance(0.3) {
+                    if let Some(&t) = rng.pick(&ids) {
+                        h.add_ref(t, id);
+                    }
+                }
+                ids.push(id);
+            }
+            let roots: Vec<ObjectId> = (0..24).filter_map(|_| rng.pick(&ids).copied()).collect();
+            let policy = GcPolicy {
+                traversal,
+                compact_free_threshold: if round == 2 { u64::MAX } else { 0 },
+            };
+            let mut report = if round == 0 {
+                collect_minor(&mut h, &roots, policy)
+            } else {
+                collect(&mut h, &roots, policy)
+            };
+            // Every field, `compacted` as 0/1, `mark_jump_mean` as bits.
+            reports.push(crate::saved_words(&mut report));
+            ids.retain(|id| h.slots[id.index()].allocated);
+        }
+        reports
+    }
+
+    #[test]
+    fn gc_reports_are_pinned() {
+        // Where references are stored must not change what is marked, in
+        // which order, or at what address: these are the reports of the
+        // collector with per-object reference vectors.
+        for (traversal, expected) in [
+            (Traversal::DepthFirst, PINNED_DFS),
+            (Traversal::BreadthFirst, PINNED_BFS),
+            (Traversal::AddressOrdered, PINNED_ADDR),
+        ] {
+            let got = pinned_graph_reports(traversal);
+            assert_eq!(got, expected.map(Vec::from), "{traversal:?}");
+        }
     }
 
     #[test]

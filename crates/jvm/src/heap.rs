@@ -9,7 +9,8 @@
 //! death. The slow growth of reported used-heap in Figure 3 is exactly this
 //! dark-matter accretion, and it emerges here the same way.
 
-use crate::object::{ObjectClass, ObjectId, ObjectSlot};
+use crate::object::{push_ref, ObjectClass, ObjectId, ObjectSlot, RefLink, Refs, NIL};
+use crate::paged::Paged;
 use jas_simkernel::DetSet;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,7 +55,13 @@ impl std::error::Error for AllocError {}
 #[derive(Clone, Debug)]
 pub struct SimHeap {
     cfg: HeapConfig,
-    pub(crate) slots: Vec<ObjectSlot>,
+    /// The object table. It and the arena are paged, so neither is ever
+    /// copied to grow (see [`Paged`]).
+    pub(crate) slots: Paged<ObjectSlot>,
+    /// The reference arena: every slot's outgoing references, as chains of
+    /// links. Appends go to the end; each sweep rebuilds it in slot order
+    /// from the surviving objects' chains only.
+    pub(crate) links: Paged<RefLink>,
     free_slot_ids: Vec<u32>,
     free_by_addr: BTreeMap<u64, u64>,   // addr -> len
     free_by_size: BTreeSet<(u64, u64)>, // (len, addr)
@@ -80,7 +87,8 @@ impl SimHeap {
         assert!(cfg.min_chunk >= 16, "minimum chunk must hold a header");
         let mut heap = SimHeap {
             cfg,
-            slots: Vec::new(),
+            slots: Paged::default(),
+            links: Paged::default(),
             free_slot_ids: Vec::new(),
             free_by_addr: BTreeMap::new(),
             free_by_size: BTreeSet::new(),
@@ -141,14 +149,16 @@ impl SimHeap {
         let remainder = chunk_len - size;
         self.add_free_chunk(chunk_addr + size, remainder);
 
-        let slot = ObjectSlot {
+        let mut slot = ObjectSlot {
             addr: chunk_addr,
-            size,
-            refs: refs.to_vec(),
-            marked: false,
+            size: u32::try_from(size).expect("object size fits u32"),
             allocated: true,
             young: true,
+            ..ObjectSlot::default()
         };
+        for &r in refs {
+            push_ref(&mut self.links, &mut slot, r);
+        }
         self.live_bytes += size;
         self.live_objects += 1;
         self.total_allocated_bytes += size;
@@ -186,7 +196,12 @@ impl SimHeap {
     pub fn size_of(&self, id: ObjectId) -> u64 {
         let s = &self.slots[id.index()];
         assert!(s.allocated, "object {id:?} is not allocated");
-        s.size
+        u64::from(s.size)
+    }
+
+    /// Outgoing references of the object in slot `id`, in insertion order.
+    pub(crate) fn refs(&self, id: ObjectId) -> Refs<'_> {
+        Refs::new(&self.links, self.slots[id.index()].ref_head)
     }
 
     /// Appends an outgoing reference to an allocated object.
@@ -203,7 +218,7 @@ impl SimHeap {
             .is_some_and(|t| t.allocated && t.young);
         let s = &mut self.slots[id.index()];
         assert!(s.allocated, "object {id:?} is not allocated");
-        s.refs.push(target);
+        push_ref(&mut self.links, s, target);
         if !s.young && target_young {
             self.remembered.insert(id);
         }
@@ -274,10 +289,9 @@ impl SimHeap {
         for (i, s) in self.slots.iter_mut().enumerate() {
             if s.allocated && !s.marked {
                 s.allocated = false;
-                s.refs.clear();
                 swept += 1;
-                freed += s.size;
-                self.live_bytes -= s.size;
+                freed += u64::from(s.size);
+                self.live_bytes -= u64::from(s.size);
                 self.live_objects -= 1;
                 self.free_slot_ids.push(i as u32);
             }
@@ -285,6 +299,7 @@ impl SimHeap {
             s.marked = false;
         }
         self.remembered.clear();
+        self.compact_links();
         self.rebuild_free_list();
         (swept, freed)
     }
@@ -301,11 +316,10 @@ impl SimHeap {
                     s.young = false; // promoted
                 } else {
                     s.allocated = false;
-                    s.refs.clear();
                     s.young = false;
                     swept += 1;
-                    freed += s.size;
-                    self.live_bytes -= s.size;
+                    freed += u64::from(s.size);
+                    self.live_bytes -= u64::from(s.size);
                     self.live_objects -= 1;
                     self.free_slot_ids.push(i as u32);
                 }
@@ -315,6 +329,7 @@ impl SimHeap {
         // All young objects are now promoted or dead: the remembered set
         // (old -> young) is empty by definition.
         self.remembered.clear();
+        self.compact_links();
         self.rebuild_free_list();
         (swept, freed)
     }
@@ -331,10 +346,10 @@ impl SimHeap {
         for i in live {
             let s = &mut self.slots[i];
             if s.addr != cursor {
-                moved += s.size;
+                moved += u64::from(s.size);
                 s.addr = cursor;
             }
-            cursor += s.size;
+            cursor += u64::from(s.size);
         }
         self.free_by_addr.clear();
         self.free_by_size.clear();
@@ -344,12 +359,29 @@ impl SimHeap {
         moved
     }
 
+    /// Rebuilds the reference arena in slot order from the allocated
+    /// objects' chains, dropping every freed object's links: afterwards
+    /// the arena holds exactly the live objects' references, each chain
+    /// contiguous.
+    fn compact_links(&mut self) {
+        let old = std::mem::take(&mut self.links);
+        for s in &mut self.slots {
+            let head = std::mem::replace(&mut s.ref_head, NIL);
+            s.ref_tail = NIL;
+            if s.allocated {
+                for r in Refs::new(&old, head) {
+                    push_ref(&mut self.links, s, r);
+                }
+            }
+        }
+    }
+
     fn rebuild_free_list(&mut self) {
         let mut live: Vec<(u64, u64)> = self
             .slots
             .iter()
             .filter(|s| s.allocated)
-            .map(|s| (s.addr, s.size))
+            .map(|s| (s.addr, u64::from(s.size)))
             .collect();
         live.sort_unstable();
         self.free_by_addr.clear();
@@ -372,9 +404,43 @@ use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
 impl Persist for SimHeap {
     /// `cfg` is immutable; the object table, both free-list views, the
     /// byte accounting, and the remembered set are the mutable state.
+    ///
+    /// The object table is written as a length and then, per slot: addr,
+    /// size, reference count, the references in insertion order, marked,
+    /// allocated, young. The arena itself is not written: each slot's
+    /// chain is visited in the slot loop, and a load rebuilds the arena in
+    /// slot order.
     // jas-lint: allow(D009, reason = "cfg is construction-time configuration")
     fn persist(&mut self, io: &mut dyn StateIo) {
-        self.slots.persist(io);
+        let mut len = self.slots.len() as u64;
+        io.word(&mut len);
+        if !io.saving() {
+            self.slots.clear();
+            self.links.clear();
+            for _ in 0..len {
+                self.slots.push(ObjectSlot::default());
+            }
+        }
+        for s in &mut self.slots {
+            s.addr.persist(io);
+            s.size.persist(io);
+            let mut count = Refs::new(&self.links, s.ref_head).count() as u64;
+            io.word(&mut count);
+            if io.saving() {
+                for mut r in Refs::new(&self.links, s.ref_head) {
+                    r.persist(io);
+                }
+            } else {
+                for _ in 0..count {
+                    let mut r = ObjectId::default();
+                    r.persist(io);
+                    push_ref(&mut self.links, s, r);
+                }
+            }
+            s.marked.persist(io);
+            s.allocated.persist(io);
+            s.young.persist(io);
+        }
         self.free_slot_ids.persist(io);
         snap::persist_map(io, &mut self.free_by_addr);
         snap::persist_set(io, &mut self.free_by_size);
@@ -390,6 +456,7 @@ impl Persist for SimHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::saved_words;
 
     fn small_heap() -> SimHeap {
         SimHeap::new(HeapConfig {
@@ -546,8 +613,101 @@ mod tests {
         let a = h.allocate(ObjectClass::Bean, &[]).unwrap();
         let b = h.allocate(ObjectClass::Bean, &[a]).unwrap();
         h.add_ref(a, b);
-        assert_eq!(h.slots[a.index()].refs, vec![b]);
-        assert_eq!(h.slots[b.index()].refs, vec![a]);
+        assert_eq!(h.refs(a).collect::<Vec<_>>(), vec![b]);
+        assert_eq!(h.refs(b).collect::<Vec<_>>(), vec![a]);
+    }
+
+    /// Live references counted by walking every allocated slot's chain.
+    fn live_refs(h: &SimHeap) -> usize {
+        (0..h.slots.len())
+            .filter(|&i| h.slots[i].allocated)
+            .map(|i| h.refs(ObjectId(i as u32)).count())
+            .sum()
+    }
+
+    #[test]
+    fn checkpoint_words_keep_the_per_slot_layout() {
+        let mut h = SimHeap::new(HeapConfig {
+            capacity: 4096,
+            min_chunk: 64,
+        });
+        let a = h.allocate(ObjectClass::Small, &[]).unwrap(); // slot 0 @0
+        let b = h.allocate(ObjectClass::Bean, &[a]).unwrap(); // slot 1 @24
+        let c = h.allocate(ObjectClass::Array, &[a]).unwrap(); // slot 2 @120
+        let _d = h.allocate(ObjectClass::Small, &[b]).unwrap(); // slot 3 @376
+        let _g = h.allocate(ObjectClass::Small, &[]).unwrap(); // slot 4 @400
+        h.add_ref(c, b);
+        h.add_ref(c, a);
+        // Roots reach c -> {a, b}: d and g die; the last freed slot is
+        // reused first, so slot 4 comes back and slot 3 stays dead.
+        crate::gc::collect(&mut h, &[c], crate::gc::GcPolicy::default());
+        let e = h.allocate(ObjectClass::Bean, &[c]).unwrap(); // slot 4 @376
+        assert_eq!(e.index(), 4);
+        h.add_ref(b, e); // old -> young: b enters the remembered set
+        let words = saved_words(&mut h);
+        #[rustfmt::skip]
+        let expected: Vec<u64> = vec![
+            5, // slots
+            // addr size refs      marked allocated young
+            0,   24,  0,           0, 1, 0, // a
+            24,  96,  2, 0, 4,     0, 1, 0, // b
+            120, 256, 3, 0, 1, 0,  0, 1, 0, // c
+            376, 24,  0,           0, 0, 0, // d: swept
+            376, 96,  1, 2,        0, 1, 1, // e: reused slot
+            1, 3,                           // free_slot_ids
+            1, 472, 3624,                   // free_by_addr
+            1, 3624, 472,                   // free_by_size
+            3624, 0, 472, 4, 520,           // free, dark, live bytes/objects, total
+            1, 1,                           // remembered
+        ];
+        assert_eq!(words, expected);
+        // save -> load -> save is the identity on the words.
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut restored = SimHeap::new(*h.config());
+        let mut loader = snap::Loader::new(&bytes);
+        restored.persist(&mut loader);
+        loader.finish().expect("whole stream consumed");
+        assert_eq!(saved_words(&mut restored), words);
+        assert_eq!(restored.links.len(), live_refs(&restored));
+    }
+
+    #[test]
+    fn object_table_footprint_is_counted() {
+        // An object costs one 24-byte slot and 8 bytes per reference, with
+        // no allocation of its own; a per-object `Vec` fails the size
+        // bound, an arena that keeps dead chains fails the length check.
+        assert!(std::mem::size_of::<ObjectSlot>() <= 24);
+        assert!(std::mem::size_of::<RefLink>() <= 8);
+        let mut h = small_heap();
+        let mut rng = jas_simkernel::Rng::new(0xA4E7A);
+        let mut ids: Vec<ObjectId> = Vec::new();
+        for round in 0..6 {
+            for _ in 0..300 {
+                // Sparse enough (under one edge per object) that most of
+                // each round dies.
+                let refs: Vec<ObjectId> = (0..rng.next_below(2))
+                    .filter_map(|_| rng.pick(&ids).copied())
+                    .collect();
+                let id = h.allocate(ObjectClass::Bean, &refs).unwrap();
+                if rng.chance(0.2) {
+                    if let Some(&t) = rng.pick(&ids) {
+                        h.add_ref(t, id);
+                    }
+                }
+                ids.push(id);
+            }
+            let roots: Vec<ObjectId> = ids.iter().copied().step_by(29).collect();
+            let links_before = h.links.len();
+            let report = if round % 2 == 0 {
+                crate::gc::collect_minor(&mut h, &roots, crate::gc::GcPolicy::default())
+            } else {
+                crate::gc::collect(&mut h, &roots, crate::gc::GcPolicy::default())
+            };
+            ids.retain(|id| h.slots[id.index()].allocated);
+            assert!(report.swept_objects > 0, "round {round}: nothing died");
+            assert!(h.links.len() < links_before, "round {round}");
+            assert_eq!(h.links.len(), live_refs(&h), "round {round}");
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod jit;
 pub mod locks;
 pub mod method;
 mod object;
+mod paged;
 #[cfg(test)]
 mod proptests;
 pub mod vm;
@@ -52,3 +53,15 @@ pub use locks::{LockOutcome, LockStats, MonitorId, MonitorTable};
 pub use method::{flat_profile_weights, Component, Method, MethodId, MethodRegistry};
 pub use object::{ObjectClass, ObjectId};
 pub use vm::{GcCycle, Jvm, JvmConfig, TxHandle};
+
+/// The checkpoint words `state` writes, for tests that pin them.
+#[cfg(test)]
+fn saved_words(state: &mut impl jas_simkernel::Persist) -> Vec<u64> {
+    let mut saver = jas_simkernel::Saver::new();
+    state.persist(&mut saver);
+    saver
+        .into_bytes()
+        .chunks(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("whole words")))
+        .collect()
+}

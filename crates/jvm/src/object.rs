@@ -5,6 +5,8 @@
 //! this graph, so GC costs, pause composition, and fragmentation *emerge*
 //! rather than being constants.
 
+use crate::paged::Paged;
+
 /// Identifier of a live-or-dead object slot in the heap's object table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub(crate) u32);
@@ -63,15 +65,25 @@ impl ObjectClass {
     }
 }
 
+/// End of a reference chain: the `next` of a chain's last link, and the
+/// head and tail of an object with no references.
+pub(crate) const NIL: u32 = u32::MAX;
+
 /// One slot of the object table.
-#[derive(Clone, Debug, Default)]
+///
+/// An object's outgoing references live in its heap's reference arena as a
+/// chain of [`RefLink`]s from `ref_head` to `ref_tail`, so a slot owns no
+/// allocation of its own and a dead slot holds no reference storage.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct ObjectSlot {
     /// Heap byte offset of the object (relative to heap base).
     pub(crate) addr: u64,
     /// Allocated size in bytes (after rounding).
-    pub(crate) size: u64,
-    /// Outgoing references.
-    pub(crate) refs: Vec<ObjectId>,
+    pub(crate) size: u32,
+    /// Arena index of the first outgoing reference, or [`NIL`].
+    pub(crate) ref_head: u32,
+    /// Arena index of the last outgoing reference, or [`NIL`].
+    pub(crate) ref_tail: u32,
     /// Mark bit for the collector.
     pub(crate) marked: bool,
     /// Whether the slot currently holds a live-or-unswept object.
@@ -80,6 +92,71 @@ pub(crate) struct ObjectSlot {
     /// last collection that promoted survivors).
     pub(crate) young: bool,
 }
+
+impl Default for ObjectSlot {
+    fn default() -> Self {
+        ObjectSlot {
+            addr: 0,
+            size: 0,
+            ref_head: NIL,
+            ref_tail: NIL,
+            marked: false,
+            allocated: false,
+            young: false,
+        }
+    }
+}
+
+/// One outgoing reference in a heap's reference arena.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RefLink {
+    /// The referenced object.
+    pub(crate) target: ObjectId,
+    /// Arena index of the owner's next reference, or [`NIL`].
+    pub(crate) next: u32,
+}
+
+/// The references of one object, in insertion order: a walk of its chain
+/// in the reference arena.
+pub(crate) struct Refs<'a> {
+    links: &'a Paged<RefLink>,
+    at: u32,
+}
+
+impl<'a> Refs<'a> {
+    pub(crate) fn new(links: &'a Paged<RefLink>, head: u32) -> Self {
+        Refs { links, at: head }
+    }
+}
+
+impl Iterator for Refs<'_> {
+    type Item = ObjectId;
+
+    fn next(&mut self) -> Option<ObjectId> {
+        let link = *self.links.get(self.at as usize)?;
+        self.at = link.next;
+        Some(link.target)
+    }
+}
+
+/// Appends `target` to `slot`'s reference chain in `links`.
+///
+/// # Panics
+///
+/// Panics if the arena outgrows `u32` indices.
+pub(crate) fn push_ref(links: &mut Paged<RefLink>, slot: &mut ObjectSlot, target: ObjectId) {
+    let at = u32::try_from(links.len())
+        .ok()
+        .filter(|&at| at != NIL)
+        .expect("reference arena outgrew u32 indices");
+    links.push(RefLink { target, next: NIL });
+    match links.get_mut(slot.ref_tail as usize) {
+        Some(last) => last.next = at,
+        None => slot.ref_head = at,
+    }
+    slot.ref_tail = at;
+}
+
 // --- Checkpoint persistence -------------------------------------------------
 
 use jas_simkernel::snapshot::{Persist, StateIo};
@@ -87,17 +164,6 @@ use jas_simkernel::snapshot::{Persist, StateIo};
 impl Persist for ObjectId {
     fn persist(&mut self, io: &mut dyn StateIo) {
         self.0.persist(io);
-    }
-}
-
-impl Persist for ObjectSlot {
-    fn persist(&mut self, io: &mut dyn StateIo) {
-        self.addr.persist(io);
-        self.size.persist(io);
-        self.refs.persist(io);
-        self.marked.persist(io);
-        self.allocated.persist(io);
-        self.young.persist(io);
     }
 }
 

@@ -31,7 +31,7 @@ fn reachable_set(heap: &SimHeap, roots: &[ObjectId]) -> BTreeSet<ObjectId> {
         if !seen.insert(id) {
             continue;
         }
-        for &r in &heap.slots[id.index()].refs {
+        for r in heap.refs(id) {
             if heap.slots[r.index()].allocated && !seen.contains(&r) {
                 queue.push(r);
             }
