@@ -2,7 +2,7 @@
 //!
 //! A per-file [`Analysis`] depends only on the file's bytes and the rule
 //! revision — never on the config or on other files — so it can be reused
-//! across runs keyed by a content hash. The cross-file semantic pass and
+//! across runs keyed by an FNV-1a content hash ([`fnv1a`]). The cross-file semantic pass and
 //! all severity/suppression filtering run on top of cached analyses every
 //! time, which keeps config changes and cross-file edits correct without
 //! any invalidation logic: editing one file re-analyzes that file only,
@@ -16,18 +16,8 @@
 use crate::parser::{BodyFacts, FieldDef, FnDef, Owner, Param, StructDef};
 use crate::suppress::{Malformed, Suppression};
 use crate::{analyze, scan::Span, Analysis, TokenHit, RULES_REV};
+use jas_simkernel::snapshot::fnv1a;
 use std::path::{Path, PathBuf};
-
-/// 64-bit FNV-1a over the file's bytes; the cache key.
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Loads the cached analysis for (`rel`, `src`) from `dir`, or analyzes
 /// fresh and stores the result. Cache I/O errors are swallowed: a broken
@@ -35,7 +25,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 #[must_use]
 pub fn load_or_analyze(dir: &Path, rel: &str, src: &str) -> Analysis {
     let path = entry_path(dir, rel);
-    let hash = fnv64(src.as_bytes());
+    let hash = fnv1a(src.as_bytes());
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Some(a) = from_text(&text, hash) {
             return a;

@@ -1,10 +1,12 @@
 //! `lint.toml` — per-rule severity, path scoping, and scan roots.
 //!
-//! The workspace carries no external dependencies, so this is a hand-rolled
-//! parser for the small TOML subset the config actually needs: `[dotted.section]`
+//! The file is read by the workspace's one TOML-subset reader,
+//! [`jas_simkernel::toml`] (the scenario specs use it too); this module
+//! walks its items and checks them. The config needs `[dotted.section]`
 //! headers, `key = "string"` and `key = ["array", "of", "strings"]` pairs,
-//! and `#` comments. Anything else is a hard error — better to reject a
-//! config than to silently ignore half of it.
+//! and `#` comments. Anything else — a number, a mixed array, an unknown
+//! section, key or severity — is a hard `line N:` error: better to reject
+//! a config than to silently ignore half of it.
 //!
 //! ```toml
 //! [scan]
@@ -24,6 +26,7 @@
 //! core = "deny"
 //! ```
 
+use jas_simkernel::toml::{Doc, Value};
 use std::collections::BTreeMap;
 
 /// How a finding is treated.
@@ -137,30 +140,9 @@ impl Config {
             roots: Vec::new(),
             ..Config::default()
         };
-        let mut section: Vec<String> = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
-            }
-            let lineno = idx + 1;
-            if let Some(inner) = line.strip_prefix('[') {
-                let inner = inner
-                    .strip_suffix(']')
-                    .ok_or_else(|| format!("line {lineno}: unterminated section header"))?;
-                section = inner.split('.').map(|s| s.trim().to_string()).collect();
-                if section.iter().any(String::is_empty) {
-                    return Err(format!("line {lineno}: empty section segment"));
-                }
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-            let key = key.trim();
-            let value = Value::parse(value.trim()).map_err(|e| format!("line {lineno}: {e}"))?;
-            cfg.apply(&section, key, value)
-                .map_err(|e| format!("line {lineno}: {e}"))?;
+        for item in Doc::parse(text)?.items {
+            cfg.apply(&item.section, &item.key, item.value)
+                .map_err(|e| format!("line {}: {e}", item.line))?;
         }
         if cfg.roots.is_empty() {
             cfg.roots = vec!["crates".to_string()];
@@ -168,17 +150,17 @@ impl Config {
         Ok(cfg)
     }
 
-    fn apply(&mut self, section: &[String], key: &str, value: Value) -> Result<(), String> {
-        let seg: Vec<&str> = section.iter().map(String::as_str).collect();
+    fn apply(&mut self, section: &str, key: &str, value: Value) -> Result<(), String> {
+        let seg: Vec<&str> = section.split('.').collect();
         match (seg.as_slice(), key) {
-            (["scan"], "roots") => self.roots = value.into_array()?,
-            (["scan"], "exclude") => self.exclude = value.into_array()?,
+            (["scan"], "roots") => self.roots = value.into_strs()?,
+            (["scan"], "exclude") => self.exclude = value.into_strs()?,
             (["rules", rule], _) => {
                 let entry = self.rules.entry((*rule).to_string()).or_default();
                 match key {
                     "severity" => entry.severity = Severity::parse(&value.into_string()?)?,
-                    "only" => entry.only = value.into_array()?,
-                    "exempt" => entry.exempt = value.into_array()?,
+                    "only" => entry.only = value.into_strs()?,
+                    "exempt" => entry.exempt = value.into_strs()?,
                     other => return Err(format!("unknown rule key '{other}'")),
                 }
             }
@@ -188,12 +170,7 @@ impl Config {
                     .per_crate
                     .insert(krate.to_string(), Severity::parse(&value.into_string()?)?);
             }
-            _ => {
-                return Err(format!(
-                    "unknown key '{key}' in section [{}]",
-                    section.join(".")
-                ))
-            }
+            _ => return Err(format!("unknown key '{key}' in section [{section}]")),
         }
         Ok(())
     }
@@ -206,70 +183,10 @@ fn path_under(path: &str, prefix: &str) -> bool {
 }
 
 /// Crate directory name for `crates/<name>/…` paths.
-fn crate_of(path: &str) -> Option<&str> {
+pub(crate) fn crate_of(path: &str) -> Option<&str> {
     let rest = path.strip_prefix("crates/")?;
     let (name, _) = rest.split_once('/')?;
     Some(name)
-}
-
-enum Value {
-    Str(String),
-    Array(Vec<String>),
-}
-
-impl Value {
-    fn parse(s: &str) -> Result<Value, String> {
-        if let Some(inner) = s.strip_prefix('[') {
-            let inner = inner
-                .strip_suffix(']')
-                .ok_or_else(|| "unterminated array (arrays must be single-line)".to_string())?;
-            let mut items = Vec::new();
-            for item in inner.split(',') {
-                let item = item.trim();
-                if item.is_empty() {
-                    continue;
-                }
-                items.push(unquote(item)?);
-            }
-            Ok(Value::Array(items))
-        } else {
-            Ok(Value::Str(unquote(s)?))
-        }
-    }
-
-    fn into_string(self) -> Result<String, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            Value::Array(_) => Err("expected a string, found an array".to_string()),
-        }
-    }
-
-    fn into_array(self) -> Result<Vec<String>, String> {
-        match self {
-            Value::Array(a) => Ok(a),
-            Value::Str(_) => Err("expected an array of strings".to_string()),
-        }
-    }
-}
-
-fn unquote(s: &str) -> Result<String, String> {
-    s.strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .map(ToString::to_string)
-        .ok_or_else(|| format!("expected a quoted string, found `{s}`"))
-}
-
-/// Strips a `#` comment, respecting quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, ch) in line.char_indices() {
-        match ch {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
 }
 
 #[cfg(test)]

@@ -16,9 +16,11 @@
 //!   coverage, counter digest coverage, and wake registration for
 //!   idle-predicate state.
 //!
-//! The tool is entirely self-contained — hand-rolled lexer, parser,
-//! TOML-subset config parser, JSON/SARIF writers, cache format — so the
-//! workspace's offline-build guarantee (no crates.io access) is preserved.
+//! The tool is self-contained — hand-rolled lexer, parser, JSON/SARIF
+//! writers, cache format — so the workspace's offline-build guarantee (no
+//! crates.io access) is preserved. Its one dependency is `jas-simkernel`,
+//! for the workspace's shared TOML-subset reader (`lint.toml`) and FNV-1a
+//! (the cache key).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,6 +8,7 @@
 //! to nothing, so a rule stays silent rather than guessing (the fixture
 //! trees prove each rule still fires on the shapes that matter).
 
+use crate::config::crate_of;
 use crate::parser::{FileAst, FnDef, StructDef};
 
 /// One file's contribution to the workspace.
@@ -24,13 +25,6 @@ pub struct FileSymbols {
 pub struct Workspace {
     /// Per-file symbol tables, in scan (sorted-path) order.
     pub files: Vec<FileSymbols>,
-}
-
-/// Crate directory name for `crates/<name>/…` paths.
-fn crate_of(path: &str) -> Option<&str> {
-    let rest = path.strip_prefix("crates/")?;
-    let (name, _) = rest.split_once('/')?;
-    Some(name)
 }
 
 impl Workspace {

@@ -6,6 +6,7 @@
 
 use jas_lint::config::{Config, Severity};
 use jas_lint::{findings, has_deny, lint_tree, lint_tree_cached, sarif};
+use jas_trace::json::{self, JsonValue};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -291,10 +292,13 @@ fn full_tree_scan_meets_timing_budget() {
 /// Validates the SARIF 2.1.0 subset jas-lint emits: the required
 /// top-level keys, tool driver metadata, and per-result shape (ruleId,
 /// level, message text, one physical location with a 1-based line).
-fn check_sarif_2_1_0(v: &json::Value) -> Result<(), String> {
+/// The document is read by the workspace's JSON reader (`jas_trace::json`),
+/// not by anything in jas-lint, so the check does not trust the writer's
+/// own string handling.
+fn check_sarif_2_1_0(v: &JsonValue) -> Result<(), String> {
     let version = v
         .get("version")
-        .and_then(json::Value::as_str)
+        .and_then(JsonValue::as_str)
         .ok_or("missing version")?;
     if version != "2.1.0" {
         return Err(format!("version {version} is not 2.1.0"));
@@ -302,7 +306,7 @@ fn check_sarif_2_1_0(v: &json::Value) -> Result<(), String> {
     v.get("$schema").ok_or("missing $schema")?;
     let runs = v
         .get("runs")
-        .and_then(json::Value::as_arr)
+        .and_then(JsonValue::as_array)
         .ok_or("runs must be an array")?;
     if runs.len() != 1 {
         return Err("exactly one run expected".to_string());
@@ -314,50 +318,50 @@ fn check_sarif_2_1_0(v: &json::Value) -> Result<(), String> {
         .ok_or("missing tool.driver")?;
     driver
         .get("name")
-        .and_then(json::Value::as_str)
+        .and_then(JsonValue::as_str)
         .ok_or("driver.name must be a string")?;
     let rules = driver
         .get("rules")
-        .and_then(json::Value::as_arr)
+        .and_then(JsonValue::as_array)
         .ok_or("driver.rules must be an array")?;
     for r in rules {
         r.get("id")
-            .and_then(json::Value::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("rule.id must be a string")?;
         r.get("shortDescription")
             .and_then(|d| d.get("text"))
-            .and_then(json::Value::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("rule.shortDescription.text must be a string")?;
     }
     let results = run
         .get("results")
-        .and_then(json::Value::as_arr)
+        .and_then(JsonValue::as_array)
         .ok_or("results must be an array")?;
     for res in results {
         let rule_id = res
             .get("ruleId")
-            .and_then(json::Value::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("result.ruleId must be a string")?;
         if !rules
             .iter()
-            .any(|r| r.get("id").and_then(json::Value::as_str) == Some(rule_id))
+            .any(|r| r.get("id").and_then(JsonValue::as_str) == Some(rule_id))
         {
             return Err(format!("ruleId {rule_id} not in driver.rules"));
         }
         let level = res
             .get("level")
-            .and_then(json::Value::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("result.level must be a string")?;
         if !["error", "warning", "note", "none"].contains(&level) {
             return Err(format!("invalid level {level}"));
         }
         res.get("message")
             .and_then(|m| m.get("text"))
-            .and_then(json::Value::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("result.message.text must be a string")?;
         let locs = res
             .get("locations")
-            .and_then(json::Value::as_arr)
+            .and_then(JsonValue::as_array)
             .ok_or("result.locations must be an array")?;
         for loc in locs {
             let phys = loc
@@ -365,12 +369,12 @@ fn check_sarif_2_1_0(v: &json::Value) -> Result<(), String> {
                 .ok_or("missing physicalLocation")?;
             phys.get("artifactLocation")
                 .and_then(|a| a.get("uri"))
-                .and_then(json::Value::as_str)
+                .and_then(JsonValue::as_str)
                 .ok_or("artifactLocation.uri must be a string")?;
             let line = phys
                 .get("region")
                 .and_then(|r| r.get("startLine"))
-                .and_then(json::Value::as_num)
+                .and_then(JsonValue::as_f64)
                 .ok_or("region.startLine must be a number")?;
             if line < 1.0 {
                 return Err("startLine must be 1-based".to_string());
@@ -378,193 +382,4 @@ fn check_sarif_2_1_0(v: &json::Value) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// A minimal JSON parser for the SARIF schema-subset checker — the test
-/// must not trust the writer's own string handling, and the workspace
-/// builds offline with no serde.
-mod json {
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-        pub fn as_num(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut i = 0;
-        let v = value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing bytes at {i}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && (b[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => obj(b, i),
-            Some(b'[') => arr(b, i),
-            Some(b'"') => Ok(Value::Str(string(b, i)?)),
-            Some(b't') => lit(b, i, "true", Value::Bool(true)),
-            Some(b'f') => lit(b, i, "false", Value::Bool(false)),
-            Some(b'n') => lit(b, i, "null", Value::Null),
-            Some(_) => num(b, i),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn lit(b: &[u8], i: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        if b[*i..].starts_with(word.as_bytes()) {
-            *i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at {i}"))
-        }
-    }
-
-    fn num(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        let start = *i;
-        while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *i += 1;
-        }
-        std::str::from_utf8(&b[start..*i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at {start}"))
-    }
-
-    fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
-        *i += 1; // opening quote
-        let mut out = String::new();
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = std::str::from_utf8(&b[*i + 1..*i + 5])
-                                .map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *i += 4;
-                        }
-                        Some(&c) => out.push(c as char),
-                        None => return Err("unterminated escape".to_string()),
-                    }
-                    *i += 1;
-                }
-                _ => {
-                    // Advance one whole UTF-8 scalar.
-                    let rest = std::str::from_utf8(&b[*i..]).map_err(|_| "bad utf8")?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    *i += ch.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn arr(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        *i += 1; // [
-        let mut out = Vec::new();
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b']') {
-            *i += 1;
-            return Ok(Value::Arr(out));
-        }
-        loop {
-            out.push(value(b, i)?);
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b']') => {
-                    *i += 1;
-                    return Ok(Value::Arr(out));
-                }
-                _ => return Err(format!("expected , or ] at {i}")),
-            }
-        }
-    }
-
-    fn obj(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        *i += 1; // {
-        let mut out = Vec::new();
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b'}') {
-            *i += 1;
-            return Ok(Value::Obj(out));
-        }
-        loop {
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b'"') {
-                return Err(format!("expected object key at {i}"));
-            }
-            let key = string(b, i)?;
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b':') {
-                return Err(format!("expected : at {i}"));
-            }
-            *i += 1;
-            let v = value(b, i)?;
-            out.push((key, v));
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b'}') => {
-                    *i += 1;
-                    return Ok(Value::Obj(out));
-                }
-                _ => return Err(format!("expected , or }} at {i}")),
-            }
-        }
-    }
 }

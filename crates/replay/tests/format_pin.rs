@@ -7,19 +7,11 @@ use jas_replay::{
     checkpoint_bytes, config_fingerprint, Engine, RunPlan, SutConfig, JCKPT_MAGIC, JCKPT_VERSION,
     WITNESS_MAGIC,
 };
+use jas_simkernel::snapshot::fnv1a;
 use jas_simkernel::SimTime;
 
 fn word_at(bytes: &[u8], i: usize) -> u64 {
     u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap())
-}
-
-fn fnv1a_words(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn quick_cfg() -> SutConfig {
@@ -67,7 +59,7 @@ fn jckpt_header_layout_is_pinned() {
     // order (per docs/jckpt-format.md, word bytes are little-endian, so
     // folding bytes equals folding words).
     let trailer = word_at(&bytes, 4 + payload_words);
-    assert_eq!(trailer, fnv1a_words(&bytes[..bytes.len() - 8]));
+    assert_eq!(trailer, fnv1a(&bytes[..bytes.len() - 8]));
 }
 
 #[test]

@@ -12,9 +12,11 @@
 //!   cap, and optional reactive autoscaler tuning,
 //! - an **SLO** the run is judged against (`SCENARIO_VERDICT`).
 //!
-//! Specs are written in the same zero-dependency TOML subset `lint.toml`
-//! uses ([`toml`]). Each spec may pin its own `SCENARIO_DIGEST` — FNV-1a
-//! over the canonicalized spec ([`ScenarioSpec::canonical_text`]) — and
+//! Specs are written in the workspace's zero-dependency TOML subset,
+//! read by [`jas_simkernel::toml`] (the same reader `jas-lint` uses for
+//! `lint.toml`). Each spec may pin its own `SCENARIO_DIGEST` — FNV-1a
+//! ([`jas_simkernel::snapshot::fnv1a`]) over the canonicalized spec
+//! ([`ScenarioSpec::canonical_text`]) — and
 //! parsing fails on a mismatch, so stored scenarios cannot drift
 //! silently. `scenario-validate` lints a set of spec files the way
 //! `trace-validate` checks trace schemas.
@@ -22,9 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod toml;
-
 mod spec;
 
-pub use jas_simkernel::snapshot::fnv1a;
 pub use spec::{AppKind, CurveSpec, ScenarioOutcome, ScenarioSpec, SloSpec, SCENARIO_SPEC_VERSION};

@@ -9,10 +9,10 @@
 //! formatting changes never move the digest but any semantic change
 //! does.
 
-use crate::toml::{Doc, Value};
 use jas_cluster::{AutoscaleConfig, DispatchPolicy};
 use jas_faults::FaultPlan;
 use jas_simkernel::snapshot::fnv1a;
+use jas_simkernel::toml::{Doc, Value};
 use jas_trace::TraceSpec;
 use jas_workload::Curve;
 

@@ -5,7 +5,8 @@
 //! `SCENARIO_SPEC_VERSION`, re-pin every file in `scenarios/`, and
 //! adjust this test in the same commit.
 
-use jas_scenario::{fnv1a, ScenarioSpec, SCENARIO_SPEC_VERSION};
+use jas_scenario::{ScenarioSpec, SCENARIO_SPEC_VERSION};
+use jas_simkernel::snapshot::fnv1a;
 
 /// A spec exercising every section the canonical form can emit.
 const FULL: &str = r#"
@@ -62,14 +63,6 @@ fn format_version_is_pinned() {
     // with a matching docs/scenario-format.md update and a re-pin of
     // every file in scenarios/.
     assert_eq!(SCENARIO_SPEC_VERSION, 1);
-}
-
-#[test]
-fn digest_constants_match_the_stack() {
-    // FNV-1a with the offset basis and prime every digest in the
-    // workspace uses (docs/scenario-format.md "Canonical serialization").
-    assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-    assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
 }
 
 #[test]

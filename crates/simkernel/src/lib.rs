@@ -1,7 +1,7 @@
 //! Discrete-event simulation kernel used by every layer of the `jas2004`
 //! full-system simulator.
 //!
-//! The kernel provides six things and nothing else:
+//! The kernel provides seven things and nothing else:
 //!
 //! * **Simulated time** ([`SimTime`], [`SimDuration`]) — nanosecond-resolution
 //!   newtypes so wall-clock and simulated time can never be confused.
@@ -17,6 +17,9 @@
 //! * **Deterministic containers** ([`DetMap`], [`DetSet`]) — key-ordered
 //!   replacements for `HashMap`/`HashSet` in simulation state, so iteration
 //!   order can never leak into counters (lint rule D001).
+//! * **Artifact primitives** — the [`toml`] subset reader behind the
+//!   scenario specs and `lint.toml`, and the FNV-1a digest
+//!   ([`snapshot::fnv1a`]) every pinned digest and checksum is built on.
 //!
 //! Everything is single-threaded and bit-reproducible: the same seed and
 //! configuration always produce the same simulation, which is what lets the
@@ -49,6 +52,7 @@ mod rng;
 mod series;
 pub mod snapshot;
 mod time;
+pub mod toml;
 mod wake;
 
 pub use det::{DetMap, DetSet};

@@ -378,7 +378,9 @@ where
 }
 
 /// FNV-1a over a byte slice — the digest primitive the `.jckpt` container
-/// and the engine's probe digest share with the trace/fault digests.
+/// and the engine's probe digest share with the trace/fault digests, the
+/// `SCENARIO_DIGEST` and the `jas-lint` cache key. The workspace's one
+/// byte-wise copy.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -530,6 +532,15 @@ mod tests {
         let mut loader = Loader::new(&long);
         trailing.persist(&mut loader);
         assert!(loader.finish().is_err(), "trailing bytes must be rejected");
+    }
+
+    #[test]
+    fn fnv1a_known_answers() {
+        // The offset basis and prime every digest in the workspace uses
+        // (docs/scenario-format.md "Canonical serialization"), the lint
+        // cache key and the `.jckpt` trailer (docs/jckpt-format.md).
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! `trace-validate` — checks an exported chrome://tracing JSON trace
 //! against the checked-in schema (`docs/trace-schema.json`).
 //!
-//! The CI `trace-smoke` job runs this offline; the validator therefore
-//! implements the small JSON-Schema subset the checked-in schema uses
-//! (`type`, `required`, `properties`, `items`, `enum`, `minItems`) on top
-//! of the crate's own JSON parser — no external dependencies.
+//! CI runs this offline (the PR-path `invariants` job on a short traced
+//! run, nightly `trace-smoke` on the full sweep export); the validator
+//! therefore implements the small JSON-Schema subset the checked-in schema
+//! uses (`type`, `required`, `properties`, `items`, `enum`, `minItems`) on
+//! top of the crate's own JSON reader ([`jas_trace::json`]) — no external
+//! dependencies.
 
 use jas_trace::json::{self, JsonValue};
 use std::process::ExitCode;

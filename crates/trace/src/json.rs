@@ -1,11 +1,22 @@
-//! A minimal JSON parser, just enough for the in-repo trace validator.
+//! The workspace's one JSON reader.
 //!
-//! The workspace is offline-only (no new dependencies), so the
-//! `trace-validate` binary cannot pull in `serde_json`. This module
-//! implements the subset of JSON the chrome://tracing exporter produces
-//! and the checked-in schema uses. Object members keep source order in a
-//! `Vec` (the workspace determinism lint bans `HashMap` in simulation
-//! crates, and ordered members make validator error messages stable).
+//! The workspace is offline-only (no new dependencies), so nothing can pull
+//! in `serde_json`. This module implements the subset of JSON the
+//! workspace's own artifacts use, and every JSON consumer reads through it:
+//!
+//! - the `trace-validate` binary, for chrome://tracing exports and
+//!   `docs/trace-schema.json`;
+//! - perfbench's stability checks, for `BENCHMARK.json` and the
+//!   per-run JSON lines;
+//! - `tests/integration_trace.rs`, for the exporter's output;
+//! - `jas-lint`'s SARIF schema-subset checker (a dev-dependency, so the
+//!   checker does not trust the writer it checks).
+//!
+//! Object members keep source order in a `Vec` (the workspace determinism
+//! lint bans `HashMap` in simulation crates, and ordered members make
+//! validator error messages stable). Parsing is linear in the input and
+//! never panics: malformed input, including arrays and objects nested
+//! more than 128 deep, is an `Err` with a byte offset.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,6 +86,12 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so a bound keeps a hostile document from
+/// overflowing the stack; the workspace's artifacts nest fewer than ten
+/// levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
@@ -82,8 +99,10 @@ impl JsonValue {
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -95,8 +114,12 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Byte offset of the next unread byte; always on a char boundary.
     pos: usize,
+    /// Open arrays and objects around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -135,8 +158,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -144,6 +167,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `inner`, one level deeper.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = inner(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -222,13 +259,12 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let end = self.pos + 4;
-                            if end > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-                                .map_err(|_| self.err("non-UTF-8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let code = self
+                                .text
+                                .get(self.pos..end)
+                                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.err("bad or truncated \\u escape"))?;
                             // Surrogate pairs are not produced by our
                             // exporter; map them to the replacement char.
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
@@ -240,13 +276,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; advance by its width.
+                    // Copy the whole run up to the next quote or
+                    // backslash in one step. Both are ASCII, so the run
+                    // ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = text.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -263,8 +302,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err(&format!("bad number '{text}'")))
@@ -295,9 +333,31 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "\"open", "1 2", "{]"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "tru",
+            "\"open",
+            "1 2",
+            "{]",
+            "-",
+            "1e",
+            "\"\\u12",
+            "\"\\u+041\"",
+            "\"\\ué000\"",
+            "\"\\é\"",
+            "{\"a\":\"b\\",
+        ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+        // Nesting is bounded, so a hostile document cannot exhaust the
+        // stack.
+        let err = parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 
     #[test]
@@ -315,6 +375,36 @@ mod tests {
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].get("ts").and_then(JsonValue::as_f64), Some(5000.0));
         assert_eq!(items[0].get("pid").and_then(JsonValue::as_f64), Some(1.0));
+    }
+
+    #[test]
+    fn multi_megabyte_documents_parse_in_linear_time() {
+        // ~3.4 MB of long strings with multi-byte chars and escapes: a
+        // per-char rescan of the remaining input would take minutes here.
+        let name = |i: usize| format!("request-{i}-é \\\"quoted\\\" {}", "x".repeat(64));
+        let mut text = String::from("[");
+        for i in 0..30_000 {
+            if i > 0 {
+                text.push(',');
+            }
+            text.push_str(&format!("{{\"name\":\"{}\",\"n\":{i}}}", name(i)));
+        }
+        text.push(']');
+        assert!(text.len() >= 3 << 20, "{} bytes", text.len());
+        let doc = parse(&text).expect("parses");
+        let items = doc.as_array().expect("array");
+        assert_eq!(items.len(), 30_000);
+        for i in [0, 1, 12_345, 29_999] {
+            let want = format!("request-{i}-é \"quoted\" {}", "x".repeat(64));
+            assert_eq!(
+                items[i].get("name").and_then(JsonValue::as_str),
+                Some(&*want)
+            );
+            assert_eq!(
+                items[i].get("n").and_then(JsonValue::as_f64),
+                Some(i as f64)
+            );
+        }
     }
 
     #[test]
