@@ -33,9 +33,10 @@
 //!
 //! Each phase covers every core before the next one starts; this order
 //! defines the digests. Stop-the-world GC records and reconciles
-//! back-to-back (it is a global pause by definition). An engine runs on one
-//! host thread; a fleet runs its node engines concurrently on lanes
-//! (`crate::fleet`).
+//! back-to-back (it is a global pause by definition), draining its events
+//! in chunks of at most 4096 so a long slice never buffers more. An engine
+//! runs on one host thread; a fleet runs its node engines concurrently on
+//! lanes (`crate::fleet`).
 
 use crate::config::{RunPlan, ScenarioKind, SchedMode, SutConfig};
 use crate::profiles::{profile_for, FootprintConfig};
@@ -43,7 +44,7 @@ use jas_appserver::{
     Admission, AppServer, BreakerState, CircuitBreaker, Message, PlanStep, PoolKind, QueueId,
     TxPlan,
 };
-use jas_cpu::{AddressMap, CorePrivate, CostModel, HpmEvent, Machine, MemEvent, StreamGen};
+use jas_cpu::{CorePrivate, HpmEvent, Machine, MachineConfig, MemEvent, StreamGen};
 use jas_db::{Database, DbError, DbFault, Query};
 use jas_faults::{EventKind, FaultCounters, FaultInjector, FaultKind, FaultLog};
 use jas_hpm::{
@@ -84,6 +85,12 @@ const WAKE_SAMPLER: ComponentId = 1;
 const WAKE_FAULT_BASE: ComponentId = 16;
 const WAKE_TASK_BASE: ComponentId = 1024;
 
+/// The most shared-hierarchy events a GC slice holds before it drains
+/// them through the shared hierarchy: 64 KB of [`MemEvent`]s per core.
+/// Without a bound, one stop-the-world slice records ~54K events and every
+/// core's buffer keeps that ~1 MB capacity for the rest of the run.
+const RECONCILE_CHUNK: usize = 4096;
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TaskState {
     Ready,
@@ -120,6 +127,15 @@ struct Task {
     mq_msg: Option<(QueueId, Message)>,
 }
 
+impl Task {
+    /// Drops the steps of a finished task: nothing reads a `Done` task's
+    /// plan or pending extra work, so host memory holds only live plans.
+    fn free_steps(&mut self) {
+        self.plan = TxPlan::default();
+        self.extra = VecDeque::new();
+    }
+}
+
 struct GcPause {
     remaining_modeled: f64,
     mark_fraction: f64,
@@ -144,18 +160,22 @@ struct Slice {
     max_instr: f64,
 }
 
-/// Runs one slice in place to its cycle budget or instruction bound,
-/// against core-private state only; returns `(cycles used, instructions
-/// executed)`. GC slices take the same path.
+/// Runs one slice in place to its cycle budget or instruction bound;
+/// returns `(cycles used, instructions executed)`. `after_op` sees the
+/// core and its event buffer after every op: task slices pass a no-op,
+/// touch core-private state only and leave their events for the
+/// reconcile phase; GC slices drain theirs in chunks.
 fn run_slice(
     cp: &mut CorePrivate,
     gen: &mut StreamGen,
     events: &mut Vec<MemEvent>,
-    cost: &CostModel,
-    addr_map: AddressMap,
+    machine: &MachineConfig,
     cycles_budget: f64,
     max_instr: f64,
+    mut after_op: impl FnMut(&mut CorePrivate, &mut Vec<MemEvent>),
 ) -> (f64, f64) {
+    let cost = &machine.cost;
+    let addr_map = machine.addr_map;
     let mut used = 0.0;
     let mut executed: u64 = 0;
     // Drain the generator's buffered blocks directly; the closure's return
@@ -171,6 +191,7 @@ fn run_slice(
         gen.drive(|ia, op| {
             used += cp.exec_record(cost, addr_map, ia, op, events);
             executed += 1;
+            after_op(cp, events);
             used < cycles_budget && executed < max_instr
         });
     }
@@ -197,7 +218,14 @@ pub struct Engine {
     /// predicate and wake registration work unchanged. `None` keeps the
     /// byte-identical legacy single-node path.
     external: Option<VecDeque<(SimTime, RequestKind)>>,
+    /// Every task ever spawned, indexed by spawn order. A finished task
+    /// keeps its slot (indices and trace span ids stay stable) but frees
+    /// its plan.
     tasks: Vec<Task>,
+    /// Indices of the tasks not yet `Done`, ascending: the per-quantum
+    /// scans walk these rather than every task ever spawned. Derived from
+    /// `tasks`, so rebuilt on restore rather than persisted.
+    live: Vec<usize>,
     /// Per-core ready queues: tasks have core affinity (idx % cores) so
     /// their hot cache state stays on one L1; idle cores steal.
     ready: Vec<VecDeque<usize>>,
@@ -345,6 +373,7 @@ impl Engine {
             next_arrival: (SimTime::ZERO, RequestKind::Browse),
             external: None,
             tasks: Vec::new(),
+            live: Vec::new(),
             ready: vec![VecDeque::new(); cores],
             pending_workorders: 0,
             gc: None,
@@ -483,7 +512,8 @@ impl Engine {
             self.wakes.register(comp, start);
             self.wakes.register(comp + 1, end);
         }
-        for i in 0..self.tasks.len() {
+        for k in 0..self.live.len() {
+            let i = self.live[k];
             if let TaskState::BlockedUntil(at) = self.tasks[i].state {
                 let tick = self.wake_tick_at_start(at);
                 self.wakes.register(WAKE_TASK_BASE + i as u64, tick);
@@ -505,11 +535,9 @@ impl Engine {
         {
             return false;
         }
-        if self
-            .tasks
-            .iter()
-            .any(|t| matches!(t.state, TaskState::BlockedUntil(at) if at <= self.clock))
-        {
+        if self.live.iter().any(
+            |&i| matches!(self.tasks[i].state, TaskState::BlockedUntil(at) if at <= self.clock),
+        ) {
             return false;
         }
         if self.faults_active {
@@ -684,8 +712,9 @@ impl Engine {
             }
         }
 
-        // 2. Unblock tasks whose waits expired.
-        for i in 0..self.tasks.len() {
+        // 2. Unblock tasks whose waits expired, in index order.
+        for k in 0..self.live.len() {
+            let i = self.live[k];
             if let TaskState::BlockedUntil(t) = self.tasks[i].state {
                 if t <= self.clock {
                     self.tasks[i].state = TaskState::Ready;
@@ -797,7 +826,6 @@ impl Engine {
         let freq = self.cfg.machine.frequency_hz;
         let in_steady = self.clock >= self.run.steady_start();
         let cost = self.cfg.machine.cost;
-        let addr_map = self.cfg.machine.addr_map;
         let topo = self.cfg.machine.topology;
 
         // Detach the core-private halves from the shared hierarchy, so each
@@ -903,10 +931,10 @@ impl Engine {
                         &mut core_states[s.core],
                         &mut self.gens[s.core][comp_index(s.component)],
                         &mut self.event_bufs[s.core],
-                        &cost,
-                        addr_map,
+                        &self.cfg.machine,
                         cycles_left[s.core],
                         s.max_instr,
+                        |_, _| {},
                     )
                 })
                 .collect();
@@ -1145,12 +1173,17 @@ impl Engine {
             },
             mq_msg: None,
         });
-        self.tasks.len() - 1
+        let idx = self.tasks.len() - 1;
+        self.live.push(idx);
+        idx
     }
 
     /// Executes GC work on `core` (whose private state is detached into
     /// `cp`); returns cycles used. GC records and reconciles back-to-back:
-    /// it runs outside the phased round, where the shared hierarchy is free.
+    /// it runs outside the phased round, where the shared hierarchy is free,
+    /// so it drains its events in chunks of at most [`RECONCILE_CHUNK`]
+    /// while it records and charges the summed correction once at the end —
+    /// bit-identical to one reconcile after the whole slice.
     // jas-lint: allow(D012, reason = "only runs while gc is Some, so the quantum is already non-idle; finishing GC moves toward idle")
     fn run_gc_slice(
         &mut self,
@@ -1159,32 +1192,35 @@ impl Engine {
         cycles_budget: f64,
         in_steady: bool,
     ) -> f64 {
-        let cost = self.cfg.machine.cost;
-        let addr_map = self.cfg.machine.addr_map;
         let chip = self.cfg.machine.topology.chip_of_core(core);
+        let cost = &self.cfg.machine.cost;
+        let mem = self.machine.mem_mut();
         let Some(gc) = self.gc.as_mut() else {
             return 0.0;
         };
+        // Drain before the next op could take the buffer past the chunk.
+        let drain_at = RECONCILE_CHUNK.saturating_sub(self.cfg.machine.max_events_per_op()) + 1;
+        let mut correction = 0.0;
         // The GC's remaining work only changes after the slice, so it bounds
         // the slice like a task segment's remaining instructions.
         let (used_recorded, executed) = run_slice(
             cp,
             &mut self.gens[core][comp_index(Component::Gc)],
             &mut self.event_bufs[core],
-            &cost,
-            addr_map,
+            &self.cfg.machine,
             cycles_budget,
             gc.remaining_modeled,
+            |cp, events| {
+                if events.len() >= drain_at {
+                    jas_cpu::reconcile_drain(cp, chip, cost, mem, events, &mut correction);
+                }
+            },
         );
         gc.remaining_modeled -= executed;
         let remaining = gc.remaining_modeled;
-        let correction = jas_cpu::reconcile_core(
-            cp,
-            chip,
-            &cost,
-            self.machine.mem_mut(),
-            &mut self.event_bufs[core],
-        );
+        let events = &mut self.event_bufs[core];
+        jas_cpu::reconcile_drain(cp, chip, cost, mem, events, &mut correction);
+        cp.charge_correction(correction);
         let used = used_recorded + correction;
         if in_steady && executed >= 1.0 {
             if let Some(m) = self.sample_method(Component::Gc) {
@@ -1783,7 +1819,13 @@ impl Engine {
             kind = t.kind;
             issued = t.issued;
             t.state = TaskState::Done;
+            t.free_steps();
         }
+        let pos = self
+            .live
+            .binary_search(&task_idx)
+            .expect("a finishing task is live");
+        self.live.remove(pos);
         if let Some(tx) = self.tasks[task_idx].jvm_tx.take() {
             self.jvm.end_tx(tx);
         }
@@ -2169,10 +2211,24 @@ impl Engine {
         // re-derives any wake-ups a quantum-mode checkpoint lacks.
         self.wakes.persist(io);
         self.sched_stats.persist(io);
-        if !io.saving() && self.sched_event {
-            self.rebuild_wakes();
+        if !io.saving() {
+            // A checkpoint written before finished tasks freed their plans
+            // still carries them; free them so the restored engine matches
+            // one that ran to this tick.
+            for t in &mut self.tasks {
+                if t.state == TaskState::Done {
+                    t.free_steps();
+                }
+            }
+            self.live = (0..self.tasks.len())
+                .filter(|&i| self.tasks[i].state != TaskState::Done)
+                .collect();
+            if self.sched_event {
+                self.rebuild_wakes();
+            }
         }
         // Skipped on purpose: cfg/run (identity — must match at restore),
+        // live (derived from tasks, rebuilt above),
         // method_cdf (config-derived), event_bufs (drained every quantum),
         // faults_active/trace_active/sched_event (cached config flags),
         // hostprof (host wall-clock; never simulation state), external
@@ -2350,10 +2406,7 @@ impl Engine {
     /// least-connection dispatch and admission control.
     #[must_use]
     pub fn in_flight(&self) -> u64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.state != TaskState::Done)
-            .count() as u64
+        self.live.len() as u64
     }
 
     /// Starts recording arrivals and compiled plans for later replay.
@@ -2417,13 +2470,78 @@ impl Engine {
 mod tests {
     use super::*;
 
-    fn quick_engine() -> Engine {
+    fn quick_cfg() -> SutConfig {
         let mut cfg = SutConfig::at_ir(10);
         cfg.machine.frequency_hz = 100_000.0;
         // Shrink the heap so GC cycles fit inside the quick run.
         cfg.jvm.heap.capacity = 8 << 20;
         cfg.jvm.live_target = 2 << 20;
-        Engine::new(cfg, RunPlan::quick())
+        cfg
+    }
+
+    fn quick_engine() -> Engine {
+        Engine::new(quick_cfg(), RunPlan::quick())
+    }
+
+    /// Host memory follows live work. Quanta 20x the quick default give
+    /// GC slices longer than one reconcile chunk (a buffer that kept a
+    /// whole slice would reach 8192 events here) at the quick run's cost;
+    /// still, no core's event buffer grows past one reconcile chunk plus
+    /// one op's events, every finished task has freed its plan, and the
+    /// live list holds exactly the unfinished tasks, in index order.
+    #[test]
+    fn finished_tasks_and_gc_slices_hold_no_host_memory() {
+        let mut cfg = quick_cfg();
+        cfg.quantum = SimDuration::from_millis(640);
+        let bound = RECONCILE_CHUNK + cfg.machine.max_events_per_op();
+        let mut e = Engine::new(cfg, RunPlan::quick());
+        e.run_to_end();
+        assert!(e.jvm().gc_count() > 0, "no GC in the run");
+        for (core, buf) in e.event_bufs.iter().enumerate() {
+            assert!(buf.capacity() <= bound, "core {core}: {}", buf.capacity());
+        }
+        let done: Vec<&Task> = e
+            .tasks
+            .iter()
+            .filter(|t| t.state == TaskState::Done)
+            .collect();
+        assert!(done.len() > 100, "{} finished tasks", done.len());
+        for t in done {
+            assert!(t.plan.steps.is_empty() && t.extra.is_empty());
+        }
+        let unfinished: Vec<usize> = (0..e.tasks.len())
+            .filter(|&i| e.tasks[i].state != TaskState::Done)
+            .collect();
+        assert_eq!(e.live, unfinished);
+        assert_eq!(e.in_flight(), unfinished.len() as u64);
+    }
+
+    /// A checkpoint written while finished tasks still kept their plans
+    /// (the layout is unchanged; only its content differs) restores to the
+    /// state of an engine that freed them.
+    #[test]
+    fn restore_frees_the_plans_of_finished_tasks() {
+        let cfg = quick_cfg();
+        let plan = RunPlan::quick();
+        let mut e = Engine::new(cfg.clone(), plan);
+        e.run_to(SimTime::from_secs(3));
+        let digest = e.probe_digest();
+        let lean = crate::checkpoint::checkpoint_bytes(&mut e);
+        let step = PlanStep::Compute {
+            component: Component::AppServer,
+            instructions: 1.0e5,
+        };
+        for t in e.tasks.iter_mut().filter(|t| t.state == TaskState::Done) {
+            t.plan.push(step);
+            t.extra.push_back((Component::Kernel, 1.0));
+        }
+        let full = crate::checkpoint::checkpoint_bytes(&mut e);
+        assert!(full.len() > lean.len());
+        for bytes in [lean, full] {
+            let mut r = crate::checkpoint::restore_engine(&cfg, plan, &bytes).expect("restores");
+            assert_eq!(r.probe_digest(), digest);
+            assert_eq!(r.live, e.live);
+        }
     }
 
     /// Footprint guard: the 44 generators of an engine hold one code table

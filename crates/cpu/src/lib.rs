@@ -57,7 +57,9 @@ pub use branch::{BranchConfig, BranchUnit};
 pub use cache::{CacheConfig, Mesi, Replacement, SetAssocCache};
 pub use counters::{CounterFile, HpmEvent, EVENT_COUNT};
 pub use hierarchy::{DataSource, InstSource, MemEvent, MemorySystem, Topology};
-pub use machine::{data_latency, reconcile_core, CorePrivate, Machine, MachineConfig};
+pub use machine::{
+    data_latency, reconcile_core, reconcile_drain, CorePrivate, Machine, MachineConfig,
+};
 pub use pipeline::CostModel;
 pub use prefetch::{PrefetchConfig, Prefetcher};
 pub use stream::{AccessPattern, DataRegion, StreamGen, StreamProfile, Window};

@@ -72,6 +72,17 @@ pub struct MachineConfig {
     pub fast_paths: bool,
 }
 
+impl MachineConfig {
+    /// The most shared-hierarchy events one [`CorePrivate::exec_record`]
+    /// call can append: an instruction-fetch miss, a demand load miss, and
+    /// the prefetcher's run-ahead lines (up to `prefetch.max_depth` on a
+    /// stream advance, one on a stream allocation).
+    #[must_use]
+    pub fn max_events_per_op(&self) -> usize {
+        2 + self.prefetch.max_depth.max(1) as usize
+    }
+}
+
 impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
@@ -168,6 +179,16 @@ impl CorePrivate {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Charges a reconciled latency correction (see [`reconcile_drain`])
+    /// to the cycle counter; a correction that is not positive charges
+    /// nothing.
+    pub fn charge_correction(&mut self, correction: f64) {
+        if correction > 0.0 {
+            self.cyc
+                .add(&mut self.counters, HpmEvent::Cycles, correction);
+        }
     }
 
     /// This core's cumulative HPM counters.
@@ -497,6 +518,34 @@ pub fn reconcile_core(
     events: &mut Vec<MemEvent>,
 ) -> f64 {
     let mut correction = 0.0;
+    reconcile_drain(core, chip, cost, mem, events, &mut correction);
+    core.charge_correction(correction);
+    correction
+}
+
+/// The drain half of [`reconcile_core`]: drains `events` through the
+/// shared memory system in program order and bumps the supplier counters
+/// exactly as [`reconcile_core`] does, but only adds the latency
+/// correction to the running sum `correction`, leaving the cycle counter
+/// alone.
+///
+/// A slice recorded in several chunks may drain each chunk into one
+/// running sum and charge it once with [`CorePrivate::charge_correction`]
+/// after its last op. Recording never reads what a drain writes (the
+/// shared memory system, and integer counter bumps that commute with its
+/// own), so the memory system sees the same events in the same order, the
+/// float sum adds the same terms in the same order, and the cycle counter
+/// gets the same single add: the result is bit-identical to one
+/// [`reconcile_core`] over the whole slice.
+pub fn reconcile_drain(
+    core: &mut CorePrivate,
+    chip: usize,
+    cost: &CostModel,
+    mem: &mut MemorySystem,
+    events: &mut Vec<MemEvent>,
+    correction: &mut f64,
+) {
+    let mut sum = *correction;
     for event in events.drain(..) {
         match event {
             MemEvent::InstMiss { addr } => {
@@ -506,13 +555,12 @@ pub fn reconcile_core(
                     InstSource::Memory => (HpmEvent::InstFromMem, cost.mem_latency),
                 };
                 core.counters.bump(hpm_event);
-                correction += (latency - cost.l2_latency) * cost.inst_overlap;
+                sum += (latency - cost.l2_latency) * cost.inst_overlap;
             }
             MemEvent::LoadMiss { addr, burst } => {
                 let source = mem.load_miss(chip, addr);
                 core.counters.bump(data_event(source));
-                correction +=
-                    (data_latency(cost, source) - cost.l2_latency) * cost.load_overlap(burst);
+                sum += (data_latency(cost, source) - cost.l2_latency) * cost.load_overlap(burst);
             }
             MemEvent::Store { addr } => {
                 let _l2_hit = mem.store(chip, addr);
@@ -522,11 +570,7 @@ pub fn reconcile_core(
             }
         }
     }
-    if correction > 0.0 {
-        core.cyc
-            .add(&mut core.counters, HpmEvent::Cycles, correction);
-    }
-    correction
+    *correction = sum;
 }
 
 /// The simulated multiprocessor.
@@ -722,6 +766,111 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::default())
+    }
+
+    /// Every op kind that reaches the shared hierarchy: fetches across many
+    /// code lines, ascending loads that allocate and advance prefetch
+    /// streams, scattered loads, and stores.
+    fn shared_traffic(n: u64) -> Vec<(u64, MicroOp)> {
+        (0..n)
+            .map(|i| {
+                let ia = Region::JitCode.base() + (i * 37 % 4096) * 128;
+                let op = match i % 4 {
+                    0 | 1 => MicroOp::Load {
+                        ea: Region::JavaHeap.base() + i / 2 * 64,
+                    },
+                    2 => MicroOp::Load {
+                        ea: Region::DbBufferPool.base() + (i * 7919 % 65_536) * 128,
+                    },
+                    _ => MicroOp::Store {
+                        ea: Region::JavaHeap.base() + (i * 131 % 8192) * 128,
+                    },
+                };
+                (ia, op)
+            })
+            .collect()
+    }
+
+    fn state_digest(m: &mut Machine) -> u64 {
+        let mut d = jas_simkernel::snapshot::WordDigest::new();
+        m.persist(&mut d);
+        d.value()
+    }
+
+    /// Draining one core's slice in chunks into a running correction and
+    /// charging it once leaves the machine exactly as one `reconcile_core`
+    /// over the whole slice: same counters, same cycle carry, same shared
+    /// hierarchy, same correction bits.
+    #[test]
+    fn chunked_drain_then_one_charge_matches_reconcile_core() {
+        let ops = shared_traffic(5_000);
+        let cfg = MachineConfig::default();
+        let chip = cfg.topology.chip_of_core(1);
+
+        let mut whole = machine();
+        let mut cores = whole.take_cores();
+        let mut events = Vec::new();
+        for &(ia, op) in &ops {
+            cores[1].exec_record(&cfg.cost, cfg.addr_map, ia, op, &mut events);
+        }
+        let recorded = events.len();
+        let expected = reconcile_core(&mut cores[1], chip, &cfg.cost, whole.mem_mut(), &mut events);
+        whole.restore_cores(cores);
+
+        for chunk in [1, 7, 64, 1000] {
+            let mut chunked = machine();
+            let mut cores = chunked.take_cores();
+            let mut events = Vec::new();
+            let mut correction = 0.0;
+            let mut drains = 0;
+            for &(ia, op) in &ops {
+                cores[1].exec_record(&cfg.cost, cfg.addr_map, ia, op, &mut events);
+                if events.len() >= chunk {
+                    reconcile_drain(
+                        &mut cores[1],
+                        chip,
+                        &cfg.cost,
+                        chunked.mem_mut(),
+                        &mut events,
+                        &mut correction,
+                    );
+                    drains += 1;
+                }
+            }
+            reconcile_drain(
+                &mut cores[1],
+                chip,
+                &cfg.cost,
+                chunked.mem_mut(),
+                &mut events,
+                &mut correction,
+            );
+            cores[1].charge_correction(correction);
+            chunked.restore_cores(cores);
+            assert!(drains > 1, "chunk {chunk}: {recorded} events in one drain");
+            assert_eq!(correction.to_bits(), expected.to_bits(), "chunk {chunk}");
+            assert_eq!(chunked.counters(1), whole.counters(1), "chunk {chunk}");
+            assert_eq!(state_digest(&mut chunked), state_digest(&mut whole));
+        }
+    }
+
+    /// `max_events_per_op` bounds what one `exec_record` appends, on
+    /// traffic that drives the prefetcher to its full run-ahead depth.
+    #[test]
+    fn one_op_appends_at_most_max_events_per_op() {
+        let cfg = MachineConfig::default();
+        let mut m = machine();
+        let mut cores = m.take_cores();
+        let mut events = Vec::new();
+        let mut most = 0;
+        for (ia, op) in shared_traffic(5_000) {
+            events.clear();
+            cores[0].exec_record(&cfg.cost, cfg.addr_map, ia, op, &mut events);
+            most = most.max(events.len());
+        }
+        m.restore_cores(cores);
+        assert!(most > 2, "the stream never advanced a prefetch stream");
+        assert!(most <= cfg.max_events_per_op(), "{most} events from one op");
     }
 
     #[test]

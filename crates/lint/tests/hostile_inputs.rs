@@ -128,6 +128,24 @@ fn toml_reader_survives_every_truncation() {
     }
 }
 
+/// A mixed array and an empty key are named as such, by the reader and
+/// through `lint.toml`'s loader, instead of by a symptom (the first item
+/// that fails the guessed type; an unknown key `""`).
+#[test]
+fn toml_reader_names_mixed_arrays_and_empty_keys() {
+    for (text, named) in [
+        ("[scan]\nroots = [\"a\", 1]\n", "line 2: mixed array"),
+        ("[scan]\nroots = [1, \"a\"]\n", "line 2: mixed array"),
+        ("[scan]\n= 1\n", "line 2: empty key"),
+        ("= \"crates\"\n", "line 1: empty key"),
+    ] {
+        let err = Doc::parse(text).expect_err("rejected");
+        assert!(err.starts_with(named), "{text:?}: {err}");
+        let err = Config::parse(text).expect_err("rejected");
+        assert!(err.starts_with(named), "{text:?} via lint.toml: {err}");
+    }
+}
+
 #[test]
 fn json_reader_rejects_every_proper_prefix() {
     for seed in json_seeds() {

@@ -138,7 +138,7 @@ impl Normal {
 /// [`Zipf::new`] interns tables process-wide, keyed by `(n, s.to_bits())`,
 /// so every generator of an engine, every node of a fleet and the
 /// workload's catalog draw from one copy per distinct pair instead of each
-/// holding its own (a 40,960-rank code table is ~672 KB). The first call
+/// holding its own (a 40,960-rank code table is ~360 KB). The first call
 /// for a key builds the table under the interner's lock; later calls cost
 /// that lock and a scan of the few interned keys, and `Clone` costs one
 /// reference-count bump. Tables are never freed: the key set is fixed by
@@ -160,21 +160,26 @@ pub struct Zipf {
     table: Arc<ZipfTable>,
 }
 
-/// The immutable sampling tables behind a [`Zipf`] handle.
+/// The immutable sampling tables behind a [`Zipf`] handle: for a strictly
+/// increasing CDF only the fast path's integer tables, otherwise only the
+/// CDF itself. Neither keeps what its sampler never reads.
 #[derive(Debug, PartialEq)]
-struct ZipfTable {
-    cdf: Vec<f64>,
-    /// `floor(cdf[i] * 2^53)`: rank `i` is drawn for `m` in
-    /// `[thresh[i-1], thresh[i])` (see sampling exactness above).
-    thresh: Vec<u64>,
-    /// `bucket_lo[b]` = number of thresholds strictly below `b << (53-BITS)`:
-    /// a lower bound on the rank for any `m` in bucket `b`.
-    bucket_lo: Vec<u32>,
-    /// CDF is strictly increasing, enabling the fixed-point fast path.
-    strict: bool,
+enum ZipfTable {
+    /// The fixed-point fast path (see sampling exactness above).
+    Strict {
+        /// `floor(cdf[i] * 2^53)`: rank `i` is drawn for `m` in
+        /// `[thresh[i-1], thresh[i])`. One entry per rank.
+        thresh: Vec<u64>,
+        /// `bucket_lo[b]` = number of thresholds strictly below
+        /// `b << (53-BITS)`: a lower bound on the rank for any `m` in
+        /// bucket `b`.
+        bucket_lo: Vec<u32>,
+    },
+    /// A CDF with duplicate entries, binary-searched as f64.
+    Degenerate { cdf: Vec<f64> },
 }
 
-/// log2 of the bucket count in [`ZipfTable::bucket_lo`].
+/// log2 of the bucket count in `ZipfTable::Strict`'s `bucket_lo`.
 const ZIPF_BUCKET_BITS: u32 = 13;
 
 /// Interned key: rank count and the exponent's bit pattern.
@@ -202,21 +207,30 @@ fn interned(n: usize, s: f64) -> Arc<ZipfTable> {
     t
 }
 
+/// The normalized cumulative distribution of Zipf(`n`, `s`): entry `i` is
+/// the probability of drawing a rank `<= i`.
+fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
+    let mut cdf = Vec::with_capacity(n);
+    let mut acc = 0.0;
+    for k in 1..=n {
+        acc += 1.0 / (k as f64).powf(s);
+        cdf.push(acc);
+    }
+    let total = acc;
+    for c in &mut cdf {
+        *c /= total;
+    }
+    cdf
+}
+
 impl ZipfTable {
     fn build(n: usize, s: f64) -> Self {
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
+        let cdf = zipf_cdf(n, s);
+        if !cdf.windows(2).all(|w| w[0] < w[1]) {
+            return ZipfTable::Degenerate { cdf };
         }
         const SCALE: f64 = (1u64 << 53) as f64;
         let thresh: Vec<u64> = cdf.iter().map(|c| (c * SCALE).floor() as u64).collect();
-        let strict = cdf.windows(2).all(|w| w[0] < w[1]);
         let buckets = 1usize << ZIPF_BUCKET_BITS;
         let mut bucket_lo = Vec::with_capacity(buckets);
         let mut i = 0u32;
@@ -227,31 +241,35 @@ impl ZipfTable {
             }
             bucket_lo.push(i);
         }
-        ZipfTable {
-            cdf,
-            thresh,
-            bucket_lo,
-            strict,
+        ZipfTable::Strict { thresh, bucket_lo }
+    }
+
+    /// Number of ranks.
+    fn len(&self) -> usize {
+        match self {
+            ZipfTable::Strict { thresh, .. } => thresh.len(),
+            ZipfTable::Degenerate { cdf } => cdf.len(),
         }
     }
 
     /// The rank drawn for the 53-bit roll `m` (see sampling exactness).
     #[inline]
     fn rank(&self, m: u64) -> usize {
-        if self.strict {
-            let b = (m >> (53 - ZIPF_BUCKET_BITS)) as usize;
-            let mut i = self.bucket_lo[b] as usize;
-            while i < self.thresh.len() && self.thresh[i] < m {
-                i += 1;
+        match self {
+            ZipfTable::Strict { thresh, bucket_lo } => {
+                let b = (m >> (53 - ZIPF_BUCKET_BITS)) as usize;
+                let mut i = bucket_lo[b] as usize;
+                while i < thresh.len() && thresh[i] < m {
+                    i += 1;
+                }
+                i.min(thresh.len() - 1)
             }
-            return i.min(self.cdf.len() - 1);
-        }
-        let u = m as f64 * (1.0 / (1u64 << 53) as f64);
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
+            ZipfTable::Degenerate { cdf } => {
+                let u = m as f64 * (1.0 / (1u64 << 53) as f64);
+                match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite")) {
+                    Ok(i) | Err(i) => i.min(cdf.len() - 1),
+                }
+            }
         }
     }
 }
@@ -285,7 +303,7 @@ impl Zipf {
     /// Number of ranks.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.table.cdf.len()
+        self.table.len()
     }
 
     /// `true` if there is exactly one rank (degenerate but allowed).
@@ -450,13 +468,16 @@ mod tests {
             let z = Zipf::new(n, s);
             assert!(z.shares_table(&Zipf::new(n, s)));
             let t = &*z.table;
-            assert!(t.strict, "simulator-range CDFs are strictly increasing");
+            let ZipfTable::Strict { thresh, .. } = t else {
+                panic!("simulator-range CDFs are strictly increasing");
+            };
+            // The table keeps no CDF: the reference builds its own and
+            // binary-searches it as f64, the natural sampler.
+            let cdf = zipf_cdf(n, s);
+            assert_eq!(cdf.len(), z.len());
             let reference = |u: f64| -> usize {
-                match t
-                    .cdf
-                    .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
-                {
-                    Ok(i) | Err(i) => i.min(t.cdf.len() - 1),
+                match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite")) {
+                    Ok(i) | Err(i) => i.min(cdf.len() - 1),
                 }
             };
             let mut rng = Rng::new(77);
@@ -464,8 +485,7 @@ mod tests {
             // Rolls are clamped to the real draw domain [0, 2^53): the last
             // threshold is floor(1.0 * 2^53) = 2^53, which no draw produces.
             let max_m = (1u64 << 53) - 1;
-            let mut rolls: Vec<u64> = t
-                .thresh
+            let mut rolls: Vec<u64> = thresh
                 .iter()
                 .step_by((n / 64).max(1))
                 .flat_map(|&t| {
@@ -486,6 +506,18 @@ mod tests {
                 assert_eq!(t.rank(m), reference(u), "n={n} s={s} m={m}");
             }
         }
+    }
+
+    /// A CDF with duplicate entries keeps only the CDF and samples by
+    /// binary search: at `s = 2000` every rank past the first has zero
+    /// weight in f64, so every draw is rank 0.
+    #[test]
+    fn zipf_degenerate_cdf_falls_back_to_search() {
+        let z = Zipf::new(50, 2000.0);
+        assert!(matches!(*z.table, ZipfTable::Degenerate { .. }));
+        assert_eq!(z.len(), 50);
+        let mut rng = Rng::new(9);
+        assert!((0..1000).all(|_| z.sample(&mut rng) == 0));
     }
 
     /// `sample` consumes exactly one draw, as before.

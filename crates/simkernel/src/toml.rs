@@ -34,7 +34,13 @@ impl Value {
                 .map(str::trim)
                 .filter(|i| !i.is_empty())
                 .collect();
-            if items.iter().all(|i| i.starts_with('"')) {
+            let quoted = items.iter().filter(|i| i.starts_with('"')).count();
+            if quoted > 0 && quoted < items.len() {
+                return Err(format!(
+                    "mixed array `{s}` (an array holds all strings or all numbers)"
+                ));
+            }
+            if quoted > 0 {
                 let mut strs = Vec::new();
                 for item in items {
                     strs.push(unquote(item)?);
@@ -136,10 +142,14 @@ impl Doc {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
+            let key = key.trim();
+            if key.is_empty() {
+                return Err(format!("line {lineno}: empty key before `=`"));
+            }
             let value = Value::parse(value.trim()).map_err(|e| format!("line {lineno}: {e}"))?;
             items.push(Item {
                 section: section.clone(),
-                key: key.trim().to_string(),
+                key: key.to_string(),
                 value,
                 line: lineno,
             });
@@ -211,7 +221,12 @@ mod tests {
             err.contains("not finite") || err.contains("expected a number"),
             "{err}"
         );
-        assert!(Doc::parse("[s]\nk = [1, \"x\"]\n").is_err());
+        for mixed in ["[s]\nk = [1, \"x\"]\n", "[s]\nk = [\"a\", 1]\n"] {
+            let err = Doc::parse(mixed).expect_err("rejected");
+            assert!(err.starts_with("line 2: mixed array"), "{err}");
+        }
+        let err = Doc::parse("= 1\n").expect_err("rejected");
+        assert_eq!(err, "line 1: empty key before `=`");
         for bad in ["[a..b]", "[é", "k = [\"a\"", "k = \"a", "k = \"\\"] {
             let err = Doc::parse(bad).expect_err("rejected");
             assert!(err.starts_with("line 1:"), "{bad:?}: {err}");
