@@ -22,7 +22,7 @@ fn checkpoint_plan() -> RunPlan {
 
 fn bench(c: &mut Criterion) {
     c.bench_function("engine_checkpoint/roundtrip", |b| {
-        b.iter_with_fields(|| {
+        b.iter_with(|| {
             let cfg = SutConfig::at_ir(20);
             let plan = checkpoint_plan();
             let mut engine = Engine::new(cfg.clone(), plan);
@@ -37,7 +37,10 @@ fn bench(c: &mut Criterion) {
             let restore_ms = start.elapsed().as_secs_f64() * 1e3;
 
             black_box((bytes.len(), restored.now()));
-            vec![("ckpt_write_ms", ckpt_write_ms), ("restore_ms", restore_ms)]
+            (
+                None,
+                vec![("ckpt_write_ms", ckpt_write_ms), ("restore_ms", restore_ms)],
+            )
         })
     });
 }

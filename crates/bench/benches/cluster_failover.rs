@@ -8,7 +8,7 @@
 //! The `threads=2` row runs the same storm with each node's epochs on
 //! its own lane thread (results are bit-identical; only host time moves).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Report};
 use jas2004::{run_cluster, DispatchPolicy, FaultPlan, HpmEvent, RunPlan, SutConfig};
 use jas_simkernel::SimDuration;
 use std::time::Duration;
@@ -35,7 +35,7 @@ fn storm_cfg(threads: usize) -> SutConfig {
 /// Runs the fleet and reports `((simulated_cycles, instructions),
 /// extra-fields)` so the JSON row records simulation throughput plus the
 /// failover latency and shed fraction.
-fn run(threads: usize) -> ((f64, f64), Vec<(&'static str, f64)>) {
+fn run(threads: usize) -> Report {
     let art = run_cluster(
         &storm_cfg(threads),
         storm_plan(),
@@ -46,10 +46,10 @@ fn run(threads: usize) -> ((f64, f64), Vec<(&'static str, f64)>) {
     assert_eq!(art.verdict.lost, 0, "failover lost requests");
     let agg = art.fleet_hpm.aggregate();
     (
-        (
+        Some((
             agg.get(HpmEvent::Cycles) as f64,
             agg.get(HpmEvent::InstCompleted) as f64,
-        ),
+        )),
         vec![
             ("failover_ms", art.failover_ms),
             ("shed_fraction", art.verdict.shed_fraction),
@@ -58,15 +58,13 @@ fn run(threads: usize) -> ((f64, f64), Vec<(&'static str, f64)>) {
 }
 
 fn bench(c: &mut Criterion) {
-    c.bench_function("cluster_failover/nodes=3", |b| {
-        b.iter_with_work_fields(|| run(1))
-    });
+    c.bench_function("cluster_failover/nodes=3", |b| b.iter_with(|| run(1)));
     // Node lanes need a second CPU; on a single-CPU host the fleet runs
     // serially, so the row would only repeat threads=1.
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if host_cpus > 1 {
         c.bench_function("cluster_failover/nodes=3/threads=2", |b| {
-            b.iter_with_work_fields(|| run(2))
+            b.iter_with(|| run(2))
         });
     } else {
         println!("cluster_failover/nodes=3/threads=2       skipped: host has 1 CPU");

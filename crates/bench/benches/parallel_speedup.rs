@@ -32,7 +32,9 @@ fn run() -> (f64, f64) {
 }
 
 fn bench(c: &mut Criterion) {
-    c.bench_function("engine_run_to_end/threads=1", |b| b.iter_with_work(run));
+    c.bench_function("engine_run_to_end/threads=1", |b| {
+        b.iter_with(|| (Some(run()), Vec::new()))
+    });
 }
 
 criterion_group! {

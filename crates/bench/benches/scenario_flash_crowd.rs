@@ -11,7 +11,7 @@
 //! `threads=2` row runs each node's epochs on its own lane thread
 //! (results are bit-identical; only host time moves).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Report};
 use jas2004::{run_cluster_with, HpmEvent, RunPlan, SutConfig};
 use jas_scenario::ScenarioSpec;
 use jas_simkernel::SimDuration;
@@ -29,7 +29,7 @@ fn spec() -> ScenarioSpec {
 /// Runs the scenario and reports `((simulated_cycles, instructions),
 /// extra-fields)` so the JSON row records simulation throughput plus the
 /// shed fraction and SLO-miss fraction under the spike.
-fn run(threads: usize) -> ((f64, f64), Vec<(&'static str, f64)>) {
+fn run(threads: usize) -> Report {
     let spec = spec();
     let mut cfg = SutConfig::at_ir(spec.ir);
     cfg.threads = threads;
@@ -56,10 +56,10 @@ fn run(threads: usize) -> ((f64, f64), Vec<(&'static str, f64)>) {
     assert_eq!(art.verdict.lost, 0, "flash crowd lost requests");
     let agg = art.fleet_hpm.aggregate();
     (
-        (
+        Some((
             agg.get(HpmEvent::Cycles) as f64,
             agg.get(HpmEvent::InstCompleted) as f64,
-        ),
+        )),
         vec![
             ("shed_fraction", art.verdict.shed_fraction),
             (
@@ -71,15 +71,13 @@ fn run(threads: usize) -> ((f64, f64), Vec<(&'static str, f64)>) {
 }
 
 fn bench(c: &mut Criterion) {
-    c.bench_function("scenario_flash_crowd/nodes=3", |b| {
-        b.iter_with_work_fields(|| run(1))
-    });
+    c.bench_function("scenario_flash_crowd/nodes=3", |b| b.iter_with(|| run(1)));
     // Node lanes need a second CPU; on a single-CPU host the fleet runs
     // serially, so the row would only repeat threads=1.
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if host_cpus > 1 {
         c.bench_function("scenario_flash_crowd/nodes=3/threads=2", |b| {
-            b.iter_with_work_fields(|| run(2))
+            b.iter_with(|| run(2))
         });
     } else {
         println!("scenario_flash_crowd/nodes=3/threads=2   skipped: host has 1 CPU");

@@ -68,14 +68,14 @@ fn bench(c: &mut Criterion) {
         1,
     );
     c.bench_function("stream_gen/one", |b| {
-        b.iter_with_fields(|| {
+        b.iter_with(|| {
             black_box(drain(&mut one, OPS));
-            vec![("ops", OPS as f64)]
+            (None, vec![("ops", OPS as f64)])
         })
     });
     let mut gens = engine_layout(&cfg);
     c.bench_function("stream_gen/engine_layout", |b| {
-        b.iter_with_fields(|| {
+        b.iter_with(|| {
             let mut acc = 0u64;
             for _ in 0..OPS / (gens.len() * BURST) {
                 for g in &mut gens {
@@ -83,7 +83,7 @@ fn bench(c: &mut Criterion) {
                 }
             }
             black_box(acc);
-            vec![("ops", OPS as f64)]
+            (None, vec![("ops", OPS as f64)])
         })
     });
     c.bench_function("stream_gen/engine_layout_setup", |b| {

@@ -15,7 +15,7 @@
 //! external-arrival mode) lives in the `jas2004` core crate. All LB
 //! decisions happen on one sequential timeline from scheduler-invariant
 //! inputs, so fleet digests are bit-identical across `--threads` and
-//! both schedulers, and a one-node fleet with no fleet faults reproduces
+//! with or without idle skipping, and a one-node fleet with no fleet faults reproduces
 //! the single-node digests exactly.
 
 #![forbid(unsafe_code)]

@@ -12,7 +12,7 @@
 //! format test in `crates/replay`; bump [`JCKPT_VERSION`] on any layout
 //! change.
 
-use crate::config::{RunPlan, SchedMode, SutConfig};
+use crate::config::{RunPlan, SutConfig};
 use crate::engine::Engine;
 use jas_simkernel::snapshot::WordDigest;
 use jas_simkernel::{Loader, Saver, StateIo};
@@ -28,8 +28,11 @@ pub const JCKPT_MAGIC: u64 = 0x4A41_5343_4B50_5431;
 /// and occupancy counters to the payload. Version 3 widened the fault
 /// counters for the fleet fault kinds, added the circuit breaker's
 /// half-open probe spacing, and added the engine's front-end outcome
-/// counters (cluster failover accounting).
-pub const JCKPT_VERSION: u64 = 3;
+/// counters (cluster failover accounting). Version 4 keeps the word layout
+/// but drops the scheduler-mode field from the configuration (moving
+/// every fingerprint), and its wake heap is always populated: a restore
+/// loads the live registrations instead of re-deriving them.
+pub const JCKPT_VERSION: u64 = 4;
 
 /// Words in the container header (magic, version, fingerprint, payload
 /// length).
@@ -40,11 +43,8 @@ const HEADER_WORDS: usize = 4;
 ///
 /// `threads` is normalized out (it picks host threads, never simulation
 /// results, so a checkpoint from a `--threads 8` run restores under
-/// `--threads 1`), `host_prof` is normalized out (host self-profiling
-/// never enters simulation state), and `sched` is normalized out (both
-/// schedulers evolve the same state; a checkpoint taken under one restores
-/// under the other — the event scheduler rebuilds any missing wake-ups
-/// from the restored state). Everything else — seed, IR, machine, heap,
+/// `--threads 1`), and `host_prof` is normalized out (host self-profiling
+/// never enters simulation state). Everything else — seed, IR, machine, heap,
 /// fault plan, trace spec — must match exactly for a restore to make
 /// sense, because config-derived state is rebuilt rather than recorded.
 #[must_use]
@@ -52,7 +52,6 @@ pub fn config_fingerprint(cfg: &SutConfig) -> u64 {
     let mut canon = cfg.clone();
     canon.threads = 1;
     canon.host_prof = false;
-    canon.sched = SchedMode::Quantum;
     let mut digest = WordDigest::new();
     for byte in format!("{canon:?}").bytes() {
         digest.mix(u64::from(byte));
@@ -174,8 +173,19 @@ pub fn validate_checkpoint(cfg: &SutConfig, bytes: &[u8]) -> Result<Vec<u8>, Str
 /// Fails on any [`validate_checkpoint`] error or on a payload that does
 /// not decode to exactly one engine state.
 pub fn restore_engine(cfg: &SutConfig, plan: RunPlan, bytes: &[u8]) -> Result<Engine, String> {
-    let payload = validate_checkpoint(cfg, bytes)?;
-    let mut engine = Engine::new(cfg.clone(), plan);
+    restore_into(Engine::new(cfg.clone(), plan), bytes)
+}
+
+/// Overlays a `.jckpt` stream onto `engine`, which must be freshly built
+/// from the checkpointed run's configuration and plan — by
+/// [`Engine::new`], or by [`Engine::no_skip`] to resume under the test
+/// oracle.
+///
+/// # Errors
+///
+/// As [`restore_engine`].
+pub fn restore_into(mut engine: Engine, bytes: &[u8]) -> Result<Engine, String> {
+    let payload = validate_checkpoint(engine.config(), bytes)?;
     let mut loader = Loader::new(&payload);
     engine.persist_state(&mut loader);
     loader
@@ -230,6 +240,24 @@ mod tests {
     }
 
     #[test]
+    fn restored_faulted_run_recheckpoints_byte_identically() {
+        // Fault-window edges that fired before the checkpoint stay
+        // consumed after a restore, so the resumed run's next checkpoint
+        // is byte-identical to the straight run's.
+        let mut cfg = quick_cfg();
+        cfg.faults.plan =
+            jas_faults::FaultPlan::parse("db-lock@1-3:0.4,gc-storm@2-4:0.1").expect("valid spec");
+        let plan = RunPlan::quick();
+        let mut straight = Engine::new(cfg.clone(), plan);
+        straight.run_to(SimTime::from_secs(5));
+        let bytes = checkpoint_bytes(&mut straight);
+        straight.run_to(SimTime::from_secs(8));
+        let mut resumed = restore_engine(&cfg, plan, &bytes).unwrap();
+        resumed.run_to(SimTime::from_secs(8));
+        assert!(checkpoint_bytes(&mut resumed) == checkpoint_bytes(&mut straight));
+    }
+
+    #[test]
     fn version_mismatch_is_rejected() {
         let cfg = quick_cfg();
         let plan = RunPlan::quick();
@@ -271,12 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_normalizes_threads_host_prof_and_sched() {
+    fn fingerprint_normalizes_threads_and_host_prof() {
         let cfg = quick_cfg();
         let mut other = cfg.clone();
         other.threads = 8;
         other.host_prof = true;
-        other.sched = SchedMode::Event;
         assert_eq!(config_fingerprint(&cfg), config_fingerprint(&other));
         let mut different = cfg.clone();
         different.ir += 1;
@@ -285,30 +312,26 @@ mod tests {
 
     #[test]
     fn checkpoints_are_scheduler_portable() {
-        // A checkpoint taken mid-run under one scheduler restores under
-        // the other and finishes with identical digests either way.
+        // A checkpoint taken mid-run by the no-skip oracle resumes with
+        // skipping, and one taken with skipping resumes under the oracle;
+        // both finish with the oracle's straight-run digest.
+        let cfg = quick_cfg();
         let plan = RunPlan::quick();
-        let mut quantum_cfg = quick_cfg();
-        quantum_cfg.sched = SchedMode::Quantum;
-        let mut event_cfg = quick_cfg();
-        event_cfg.sched = SchedMode::Event;
-
-        let mut straight = Engine::new(quantum_cfg.clone(), plan);
+        let mut straight = Engine::no_skip(cfg.clone(), plan);
         straight.run_to_end();
 
-        let mut first = Engine::new(quantum_cfg.clone(), plan);
-        first.run_to(SimTime::from_millis(400));
-        let bytes = checkpoint_bytes(&mut first);
+        let mut oracle_first = Engine::no_skip(cfg.clone(), plan);
+        oracle_first.run_to(SimTime::from_millis(400));
+        let bytes = checkpoint_bytes(&mut oracle_first);
+        let mut skipping = restore_engine(&cfg, plan, &bytes).unwrap();
+        skipping.run_to_end();
+        assert_eq!(skipping.hpm_digest(), straight.hpm_digest());
 
-        let mut as_event = restore_engine(&event_cfg, plan, &bytes).unwrap();
-        as_event.run_to_end();
-        assert_eq!(as_event.hpm_digest(), straight.hpm_digest());
-
-        let mut event_first = Engine::new(event_cfg.clone(), plan);
-        event_first.run_to(SimTime::from_millis(400));
-        let event_bytes = checkpoint_bytes(&mut event_first);
-        let mut as_quantum = restore_engine(&quantum_cfg, plan, &event_bytes).unwrap();
-        as_quantum.run_to_end();
-        assert_eq!(as_quantum.hpm_digest(), straight.hpm_digest());
+        let mut skipping_first = Engine::new(cfg.clone(), plan);
+        skipping_first.run_to(SimTime::from_millis(400));
+        let bytes = checkpoint_bytes(&mut skipping_first);
+        let mut oracle = restore_into(Engine::no_skip(cfg, plan), &bytes).unwrap();
+        oracle.run_to_end();
+        assert_eq!(oracle.hpm_digest(), straight.hpm_digest());
     }
 }

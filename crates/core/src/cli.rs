@@ -4,7 +4,7 @@
 //! a library, and the binary is a thin convenience wrapper (run a
 //! configuration, print selected figures).
 
-use crate::config::{RunPlan, ScenarioKind, SchedMode, SutConfig};
+use crate::config::{RunPlan, ScenarioKind, SutConfig};
 use jas_cluster::DispatchPolicy;
 use jas_faults::FaultPlan;
 use jas_scenario::{AppKind, ScenarioSpec};
@@ -114,10 +114,11 @@ OPTIONS:
                          lane thread per node; a single engine always runs
                          on one thread; results are identical for every
                          value
-    --sched <MODE>       quantum | event (default quantum); `event` runs
-                         the discrete-event scheduler, which skips
-                         provably idle quanta and produces bit-identical
-                         digests to `quantum`
+    --sched event        accepted as the only mode: the event scheduler
+                         always skips provably idle quanta (the
+                         fixed-quantum loop is now a test oracle, with
+                         bit-identical digests); any other value is an
+                         error
     --scenario <SEL>     jas | trade (default jas), or a path to a
                          scenarios/<name>.toml spec bundling workload
                          curve, fault plan, trace, topology, and SLO;
@@ -256,14 +257,16 @@ where
                 i += 1;
             }
             "--sched" => {
-                config.sched = match value {
-                    Some("quantum") => SchedMode::Quantum,
-                    Some("event") => SchedMode::Event,
+                match value {
+                    Some("event") => {}
                     Some(other) => {
-                        return Err(CliError(format!("unknown sched '{other}' (quantum|event)")))
+                        return Err(CliError(format!(
+                            "unknown sched '{other}': `event` is the only mode; the \
+                             fixed-quantum loop is now a test oracle (Engine::no_skip)"
+                        )))
                     }
                     None => return Err(CliError("--sched requires a value".into())),
-                };
+                }
                 i += 1;
             }
             "--scenario" => {
@@ -596,20 +599,21 @@ mod tests {
 
     #[test]
     fn sched_flag_parses() {
-        assert_eq!(parse(&[]).unwrap().config.sched, SchedMode::Quantum);
         assert_eq!(
-            parse(&["--sched", "quantum"]).unwrap().config.sched,
-            SchedMode::Quantum
+            format!("{:?}", parse(&["--sched", "event"]).unwrap()),
+            format!("{:?}", parse(&[]).unwrap()),
+            "`--sched event` names the default"
         );
-        assert_eq!(
-            parse(&["--sched", "event"]).unwrap().config.sched,
-            SchedMode::Event
+        let err = parse(&["--sched", "quantum"]).unwrap_err().0;
+        assert!(
+            err.contains("unknown sched") && err.contains("test oracle"),
+            "{err}"
         );
-        assert!(parse(&["--sched"]).unwrap_err().0.contains("requires"));
         assert!(parse(&["--sched", "cfs"])
             .unwrap_err()
             .0
             .contains("unknown sched"));
+        assert!(parse(&["--sched"]).unwrap_err().0.contains("requires"));
     }
 
     #[test]

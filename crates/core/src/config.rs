@@ -19,22 +19,6 @@ pub enum ScenarioKind {
     TradeLike,
 }
 
-/// Which engine scheduler advances simulated time.
-///
-/// Both schedulers produce bit-identical HPM/TRACE/FAULT digests; the
-/// event scheduler additionally skips provably idle quanta so dead time
-/// costs no host time (DESIGN.md §12).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// The legacy fixed-quantum loop: every quantum is fully simulated.
-    #[default]
-    Quantum,
-    /// The event-driven scheduler: components register wake-ups on a
-    /// deterministic min-heap and the engine fast-forwards over quanta
-    /// where provably nothing observable happens.
-    Event,
-}
-
 /// The full-scale clock the modeled frequency is scaled against (POWER4 at
 /// 1.3 GHz).
 pub const REAL_CORE_HZ: f64 = 1.3e9;
@@ -112,9 +96,6 @@ pub struct SutConfig {
     /// Record the host self-profile (`HOSTPROF` section). Host wall-clock
     /// never enters simulation state either way.
     pub host_prof: bool,
-    /// Which scheduler advances simulated time. Digest-equivalent either
-    /// way; `Event` makes idle quanta free.
-    pub sched: SchedMode,
 }
 
 impl Default for SutConfig {
@@ -137,7 +118,6 @@ impl Default for SutConfig {
             faults: FaultsConfig::default(),
             trace: TraceSpec::off(),
             host_prof: false,
-            sched: SchedMode::Quantum,
         }
     }
 }

@@ -38,7 +38,7 @@
 //! runs on one host thread; a fleet runs its node engines concurrently on
 //! lanes (`crate::fleet`).
 
-use crate::config::{RunPlan, ScenarioKind, SchedMode, SutConfig};
+use crate::config::{RunPlan, ScenarioKind, SutConfig};
 use crate::profiles::{profile_for, FootprintConfig};
 use jas_appserver::{
     Admission, AppServer, BreakerState, CircuitBreaker, Message, PlanStep, PoolKind, QueueId,
@@ -275,11 +275,10 @@ pub struct Engine {
     /// When recording, every arrival and compiled plan lands here so the
     /// run can later be replayed without the load generator.
     recorder: Option<ReplayLog>,
-    /// Cached `cfg.sched == SchedMode::Event`: gates wake-up registration
-    /// so the quantum scheduler takes the byte-identical legacy code
-    /// (jas-faults discipline).
-    sched_event: bool,
-    /// The event scheduler's wake-up heap (empty under `--sched quantum`).
+    /// Test oracle switch, set only by [`Engine::no_skip`]: execute every
+    /// quantum, even provably idle ones. Never persisted or fingerprinted.
+    no_skip: bool,
+    /// The scheduler's wake-up heap.
     wakes: WakeHeap,
     /// Scheduler-occupancy counters (`--figure sched`).
     sched_stats: SchedStats,
@@ -359,7 +358,6 @@ impl Engine {
         let tracer = Tracer::new(cfg.trace, cores);
         let trace_active = tracer.active();
         let hostprof = cfg.host_prof.then(HostProf::new);
-        let sched_event = cfg.sched == SchedMode::Event;
         let mut engine = Engine {
             cfg,
             run,
@@ -402,7 +400,7 @@ impl Engine {
             trace_active,
             hostprof,
             recorder: None,
-            sched_event,
+            no_skip: false,
             wakes: WakeHeap::new(),
             sched_stats: SchedStats::default(),
         };
@@ -418,9 +416,19 @@ impl Engine {
         engine.jvm.take_gc_cycles(); // warm-up GCs are discarded, not measured
         let (gap, kind) = engine.scenario.next_arrival();
         engine.next_arrival = (SimTime::ZERO + gap, kind);
-        if engine.sched_event {
-            engine.rebuild_wakes();
-        }
+        engine.register_initial_wakes();
+        engine
+    }
+
+    /// The skip-exactness oracle: an engine that executes every quantum
+    /// instead of fast-forwarding over provably idle ones. It registers
+    /// and consumes the same wake-ups, so only host time differs; tests
+    /// and benches compare it against [`Engine::new`] to show that
+    /// skipping is unobservable (DESIGN.md §12).
+    #[must_use]
+    pub fn no_skip(cfg: SutConfig, run: RunPlan) -> Self {
+        let mut engine = Engine::new(cfg, run);
+        engine.no_skip = true;
         engine
     }
 
@@ -440,18 +448,12 @@ impl Engine {
         }
     }
 
-    /// Advances to `until` under the configured scheduler. The quantum
-    /// scheduler executes every quantum; the event scheduler consults the
-    /// wake heap and fast-forwards over provably idle quanta, replicating
-    /// their observable per-quantum effects exactly (DESIGN.md §12), so
-    /// both produce bit-identical simulation state at every boundary.
+    /// Advances to `until`, consulting the wake heap and fast-forwarding
+    /// over provably idle quanta while replicating their observable
+    /// per-quantum effects exactly (DESIGN.md §12), so the simulation
+    /// state at every boundary is bit-identical to executing every
+    /// quantum — which is what an [`Engine::no_skip`] oracle does.
     fn advance_to(&mut self, until: SimTime) {
-        if !self.sched_event {
-            while self.clock < until {
-                self.step_quantum();
-            }
-            return;
-        }
         let q = self.cfg.quantum.as_nanos().max(1);
         // Quanta [quantum_counter, limit) remain: quantum `n` spans
         // `[n*q, (n+1)*q)`, and `clock = quantum_counter * q` holds at
@@ -459,7 +461,7 @@ impl Engine {
         let limit = until.as_nanos().div_ceil(q);
         while self.quantum_counter < limit {
             self.register_standing_wakes();
-            if self.quantum_is_idle() {
+            if !self.no_skip && self.quantum_is_idle() {
                 let wake = self.wakes.next_wake().unwrap_or(limit).min(limit);
                 if wake > self.quantum_counter {
                     self.skip_idle_quanta(wake - self.quantum_counter);
@@ -497,13 +499,12 @@ impl Engine {
         self.wakes.register(WAKE_SAMPLER, (boundary - 1) / q);
     }
 
-    /// (Re-)registers every wake-up derivable from current state: the
-    /// standing pair, the static fault-window edges, and each blocked
-    /// task. Called at construction and after a checkpoint restore;
-    /// registrations agreeing with an already-populated heap are no-ops,
-    /// and a checkpoint taken under the quantum scheduler (whose heap is
-    /// empty) gets its wake-ups rebuilt from scratch here.
-    fn rebuild_wakes(&mut self) {
+    /// Registers the wake-ups a freshly built engine starts with: the
+    /// standing pair and the static fault-window edges. (No task exists
+    /// yet; [`Engine::block_until`] registers each one as it blocks, and a
+    /// checkpoint carries the live registrations, so a restore needs no
+    /// re-derivation.)
+    fn register_initial_wakes(&mut self) {
         self.register_standing_wakes();
         for (w, window) in self.cfg.faults.plan.windows().iter().enumerate() {
             let comp = WAKE_FAULT_BASE + 2 * w as u64;
@@ -511,13 +512,6 @@ impl Engine {
             let end = self.wake_tick_at_start(window.end);
             self.wakes.register(comp, start);
             self.wakes.register(comp + 1, end);
-        }
-        for k in 0..self.live.len() {
-            let i = self.live[k];
-            if let TaskState::BlockedUntil(at) = self.tasks[i].state {
-                let tick = self.wake_tick_at_start(at);
-                self.wakes.register(WAKE_TASK_BASE + i as u64, tick);
-            }
         }
     }
 
@@ -618,14 +612,11 @@ impl Engine {
         }
     }
 
-    /// Blocks `task_idx` until `until`, registering the task's wake-up
-    /// with the event scheduler (heap-free under the quantum scheduler).
+    /// Blocks `task_idx` until `until`, registering the task's wake-up.
     fn block_until(&mut self, task_idx: usize, until: SimTime) {
         self.tasks[task_idx].state = TaskState::BlockedUntil(until);
-        if self.sched_event {
-            let tick = self.wake_tick_at_start(until);
-            self.wakes.register(WAKE_TASK_BASE + task_idx as u64, tick);
-        }
+        let tick = self.wake_tick_at_start(until);
+        self.wakes.register(WAKE_TASK_BASE + task_idx as u64, tick);
     }
 
     /// Enqueues a task on its affinity core's ready queue.
@@ -674,8 +665,9 @@ impl Engine {
         }
     }
 
-    /// Advances exactly one scheduler quantum.
-    pub fn step_quantum(&mut self) {
+    /// Executes exactly one quantum (only [`Engine::advance_to`] calls
+    /// this, so the scheduler sees every quantum).
+    fn step_quantum(&mut self) {
         let quantum = self.cfg.quantum;
         let quantum_end = self.clock + quantum;
         self.prof(HostSection::Schedule);
@@ -2026,15 +2018,11 @@ impl Engine {
         self.machine.total_counters()
     }
 
-    /// Scheduler-occupancy counters ([`SchedStats`]). Under the quantum
-    /// scheduler the wake heap stays empty, nothing is ever skipped, and
-    /// `quanta_executed` is simply the quantum counter.
+    /// Scheduler-occupancy counters ([`SchedStats`]). Under an
+    /// [`Engine::no_skip`] oracle nothing is ever skipped.
     #[must_use]
     pub fn sched_stats(&self) -> SchedStats {
         let mut s = self.sched_stats;
-        if !self.sched_event {
-            s.quanta_executed = self.quantum_counter;
-        }
         s.heap_high_water = s.heap_high_water.max(self.wakes.high_water());
         s
     }
@@ -2153,14 +2141,15 @@ impl Engine {
     /// Must be called at a quantum boundary (checkpointing mid-quantum is
     /// meaningless: per-core event buffers are drained and tasks are
     /// reconciled only between quanta). Restore overlays a freshly built
-    /// `Engine::new(cfg, run)` with the same configuration — the scenario
-    /// type, DB schema, and warm session store come from construction, and
-    /// only run-mutated state is replayed from the stream.
+    /// engine with the same configuration — the scenario type, DB schema,
+    /// and warm session store come from construction, and only
+    /// run-mutated state is replayed from the stream.
     ///
     /// # Panics
     ///
     /// Panics when loading a stream whose scenario tag does not match the
     /// engine's configured scenario (a config/checkpoint mismatch).
+    // jas-lint: allow(D012, reason = "a load restores the wake heap together with the state its registrations describe; `live` is derived from the loaded tasks")
     pub fn persist_state(&mut self, io: &mut dyn StateIo) {
         self.rng.persist(io);
         self.clock.persist(io);
@@ -2205,16 +2194,14 @@ impl Engine {
         self.scenario.persist_state(io);
         snap::persist_opt(io, &mut self.recorder);
         // Version 2 tail: the wake heap (canonical live-registration form)
-        // and scheduler-occupancy counters. Written under both schedulers
-        // so the payload layout is scheduler-independent (the fingerprint
-        // normalizes `sched` out); restoring under the event scheduler
-        // re-derives any wake-ups a quantum-mode checkpoint lacks.
+        // and scheduler-occupancy counters. Every engine registers its
+        // wake-ups as it runs, so the restored heap is exact.
         self.wakes.persist(io);
         self.sched_stats.persist(io);
         if !io.saving() {
-            // A checkpoint written before finished tasks freed their plans
-            // still carries them; free them so the restored engine matches
-            // one that ran to this tick.
+            // The layout lets a finished task carry a plan, which a run
+            // to this tick would have freed; free it so the restored
+            // engine matches that run.
             for t in &mut self.tasks {
                 if t.state == TaskState::Done {
                     t.free_steps();
@@ -2223,14 +2210,12 @@ impl Engine {
             self.live = (0..self.tasks.len())
                 .filter(|&i| self.tasks[i].state != TaskState::Done)
                 .collect();
-            if self.sched_event {
-                self.rebuild_wakes();
-            }
         }
         // Skipped on purpose: cfg/run (identity — must match at restore),
         // live (derived from tasks, rebuilt above),
         // method_cdf (config-derived), event_bufs (drained every quantum),
-        // faults_active/trace_active/sched_event (cached config flags),
+        // faults_active/trace_active (cached config flags), no_skip (a
+        // property of the test oracle, not of the simulation),
         // hostprof (host wall-clock; never simulation state), external
         // (cluster snapshots are taken only at epoch boundaries, where
         // every dispatched arrival has been admitted and the queue is
@@ -2642,19 +2627,14 @@ mod tests {
         assert_eq!(a.jvm().gc_count(), b.jvm().gc_count());
     }
 
-    /// The event scheduler must be an exact drop-in: every state section
-    /// except its own heap/counters is bit-identical to the quantum
-    /// scheduler's at end of run.
+    /// Skipping must be an exact drop-in: every state section except the
+    /// scheduler's own occupancy counters is bit-identical to the no-skip
+    /// oracle's at end of run.
     #[test]
     fn event_scheduler_is_bit_identical_on_a_quick_run() {
-        let mut quantum = quick_engine();
+        let mut quantum = Engine::no_skip(quick_cfg(), RunPlan::quick());
         quantum.run_to_end();
-        let mut cfg = SutConfig::at_ir(10);
-        cfg.machine.frequency_hz = 100_000.0;
-        cfg.jvm.heap.capacity = 8 << 20;
-        cfg.jvm.live_target = 2 << 20;
-        cfg.sched = SchedMode::Event;
-        let mut event = Engine::new(cfg, RunPlan::quick());
+        let mut event = quick_engine();
         event.run_to_end();
         assert_eq!(event.hpm_digest(), quantum.hpm_digest());
         assert_eq!(event.completed_requests(), quantum.completed_requests());
@@ -2665,14 +2645,14 @@ mod tests {
         {
             assert_eq!(name_q, name_e);
             if name_q == "sched" {
-                continue; // the wake heap itself differs by construction
+                continue; // skipped/executed counts differ by construction
             }
             assert_eq!(dig_q, dig_e, "section '{name_q}' diverged");
         }
     }
 
-    /// Under a light load on a fast machine the event scheduler actually
-    /// skips quanta — and still lands on identical results.
+    /// Under a light load on a fast machine the engine actually skips
+    /// quanta — and still lands on the no-skip oracle's results.
     #[test]
     fn event_scheduler_skips_idle_quanta() {
         let idle_cfg = || {
@@ -2680,11 +2660,9 @@ mod tests {
             cfg.machine.frequency_hz = 50_000_000.0;
             cfg
         };
-        let mut quantum = Engine::new(idle_cfg(), RunPlan::quick());
+        let mut quantum = Engine::no_skip(idle_cfg(), RunPlan::quick());
         quantum.run_to_end();
-        let mut cfg = idle_cfg();
-        cfg.sched = SchedMode::Event;
-        let mut event = Engine::new(cfg, RunPlan::quick());
+        let mut event = Engine::new(idle_cfg(), RunPlan::quick());
         event.run_to_end();
         let stats = event.sched_stats();
         assert!(
@@ -2700,6 +2678,44 @@ mod tests {
         assert_eq!(event.hpm_digest(), quantum.hpm_digest());
         assert_eq!(event.completed_requests(), quantum.completed_requests());
         assert_eq!(event.steady_counters(), quantum.steady_counters());
+    }
+
+    /// External-arrival mode, a fleet node's input: the only thing that
+    /// wakes an otherwise idle engine is a sparse arrival pushed between
+    /// epoch-sized `run_to` chunks. Skipping must stay exact when those
+    /// arrivals land mid-epoch, after the engine last decided to sleep.
+    #[test]
+    fn external_arrivals_skip_exactly() {
+        let drive = |mut e: Engine| {
+            e.enable_external_arrivals();
+            let epoch = SimDuration::from_millis(256);
+            let end = RunPlan::quick().end();
+            let mut rng = Rng::new(11);
+            while e.now() < end {
+                if rng.chance(0.3) {
+                    let at = e.now() + SimDuration::from_nanos(rng.next_below(epoch.as_nanos()));
+                    let kind = *rng.pick(&RequestKind::ALL).expect("non-empty");
+                    e.push_external_arrival(at, kind);
+                }
+                e.run_to(e.now() + epoch);
+            }
+            e.run_to_end();
+            e
+        };
+        let mut cfg = quick_cfg();
+        cfg.machine.frequency_hz = 50_000_000.0;
+        let oracle = drive(Engine::no_skip(cfg.clone(), RunPlan::quick()));
+        let skipping = drive(Engine::new(cfg, RunPlan::quick()));
+        let stats = skipping.sched_stats();
+        assert!(
+            stats.idle_ticks_skipped > 0,
+            "sparse arrivals leave idle quanta: {stats:?}"
+        );
+        assert_eq!(stats.total_ticks(), oracle.sched_stats().quanta_executed);
+        assert!(skipping.completed_requests() > 0);
+        assert_eq!(skipping.completed_requests(), oracle.completed_requests());
+        assert_eq!(skipping.hpm_digest(), oracle.hpm_digest());
+        assert_eq!(skipping.steady_counters(), oracle.steady_counters());
     }
 
     /// A fault plan covering every kind, inside `RunPlan::quick`'s 45 s.

@@ -545,20 +545,16 @@ pub fn tprof_table(art: &RunArtifacts) -> TprofTable {
 }
 
 /// The scheduler-occupancy view: how much of the run's timeline the
-/// event scheduler (`--sched event`) fast-forwarded over, and how busy
-/// its wake heap was. Under the quantum scheduler every quantum
-/// executes, so `skipped` is zero and `skip_fraction` is 0.
+/// event scheduler fast-forwarded over, and how busy its wake heap was.
 #[derive(Clone, Debug)]
 pub struct SchedTable {
-    /// The scheduler mode that ran.
-    pub mode: crate::config::SchedMode,
     /// Quanta stepped through the full plan/execute/reconcile path.
     pub executed: u64,
     /// Quanta fast-forwarded over without simulating them.
     pub skipped: u64,
     /// Live wake-ups consumed from the wake heap.
     pub events_dispatched: u64,
-    /// Most entries the wake heap ever held at once.
+    /// Most live wake-up registrations the heap ever held at once.
     pub heap_high_water: u64,
     /// `skipped / (skipped + executed)`.
     pub skip_fraction: f64,
@@ -568,12 +564,11 @@ pub struct SchedTable {
 #[must_use]
 pub fn sched_table(art: &RunArtifacts) -> SchedTable {
     SchedTable {
-        mode: art.config.sched,
-        executed: art.sched.quanta_executed,
-        skipped: art.sched.idle_ticks_skipped,
-        events_dispatched: art.sched.events_dispatched,
-        heap_high_water: art.sched.heap_high_water,
-        skip_fraction: art.sched.skip_fraction(),
+        executed: art.sched_stats.quanta_executed,
+        skipped: art.sched_stats.idle_ticks_skipped,
+        events_dispatched: art.sched_stats.events_dispatched,
+        heap_high_water: art.sched_stats.heap_high_water,
+        skip_fraction: art.sched_stats.skip_fraction(),
     }
 }
 

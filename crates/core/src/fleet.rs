@@ -29,7 +29,7 @@ use std::sync::mpsc;
 const NODE_SEED_SALT: u64 = 0x4E4F_4445_5345_4544;
 
 /// Quanta per LB epoch. The epoch must be a whole number of quanta so
-/// node clocks land exactly on epoch boundaries under both schedulers.
+/// node clocks land exactly on epoch boundaries, skipped quanta or not.
 const EPOCH_QUANTA: u64 = 8;
 
 /// Why a node can have no engine: a job on its lane panicked, and the

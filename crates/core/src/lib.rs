@@ -38,8 +38,10 @@ pub mod profiles;
 pub mod reduce;
 pub mod report;
 
-pub use checkpoint::{checkpoint_bytes, config_fingerprint, restore_engine, validate_checkpoint};
-pub use config::{FaultsConfig, RunPlan, ScenarioKind, SchedMode, SutConfig};
+pub use checkpoint::{
+    checkpoint_bytes, config_fingerprint, restore_engine, restore_into, validate_checkpoint,
+};
+pub use config::{FaultsConfig, RunPlan, ScenarioKind, SutConfig};
 pub use engine::Engine;
 pub use experiment::{run_artifacts_from, run_experiment, RunArtifacts};
 pub use fleet::{run_cluster, run_cluster_with, ClusterArtifacts, EngineNode};

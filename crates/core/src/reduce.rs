@@ -117,9 +117,12 @@ impl DivergenceWitness {
         let digest_b = read();
         let len_a = read() as usize;
         let len_b = read() as usize;
+        let needed = len_a
+            .checked_add(len_b)
+            .and_then(|blobs| blobs.checked_add(9 * 8));
         if !len_a.is_multiple_of(8)
             || !len_b.is_multiple_of(8)
-            || bytes.len() < 9 * 8 + len_a + len_b
+            || needed.is_none_or(|n| bytes.len() < n)
         {
             return Err("witness is truncated".into());
         }
@@ -364,6 +367,19 @@ mod tests {
         let cfg = quick_cfg();
         let err = reduce_divergence(&cfg, &cfg, plan, 4).unwrap_err();
         assert!(err.contains("no divergence"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn witness_lengths_that_overflow_are_truncation_errors() {
+        // 72 + (2^64 - 8) + 8 wraps to 72, which an 80-byte stream
+        // would satisfy if the sum were not checked.
+        let mut words = [0u64; 10];
+        words[0] = WITNESS_MAGIC;
+        words[6] = u64::MAX - 7;
+        words[7] = 8;
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let err = DivergenceWitness::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("truncated"), "unexpected error: {err}");
     }
 
     #[test]

@@ -336,7 +336,6 @@ pub fn render_tprof(t: &TprofTable) -> String {
 #[must_use]
 pub fn render_sched(t: &SchedTable) -> String {
     let mut out = String::from("Scheduler Occupancy\n");
-    let _ = writeln!(out, "  mode {:?}", t.mode);
     let _ = writeln!(
         out,
         "  quanta executed {}   skipped {}   ({:.1}% of the timeline was free)",
@@ -808,7 +807,6 @@ mod tests {
     #[test]
     fn render_sched_reports_occupancy() {
         let text = render_sched(&SchedTable {
-            mode: crate::config::SchedMode::Event,
             executed: 250,
             skipped: 750,
             events_dispatched: 412,
@@ -816,7 +814,6 @@ mod tests {
             skip_fraction: 0.75,
         });
         assert!(text.starts_with("Scheduler Occupancy"));
-        assert!(text.contains("mode Event"));
         assert!(text.contains("executed 250"));
         assert!(text.contains("skipped 750"));
         assert!(text.contains("75.0% of the timeline was free"));

@@ -168,7 +168,7 @@ impl FaultLog {
     }
 
     /// FNV-1a digest over `(at, code)` of every event — the fingerprint
-    /// the determinism suite and the CI `sched-smoke` job compare across
+    /// the determinism suite and the skip-exactness tests compare across
     /// runs.
     #[must_use]
     pub fn digest(&self) -> u64 {

@@ -1,12 +1,11 @@
 //! Scheduler-occupancy counters for the event-driven engine scheduler.
 //!
-//! The quantum scheduler visits every quantum, so "how busy was the
-//! scheduler" is not a question there. The event scheduler (`--sched
-//! event`) skips provably idle quanta, and these counters quantify how
-//! much dead time it made free: wake-ups dispatched, idle quanta skipped
-//! versus executed, and the wake-heap's occupancy high-water mark. They
-//! are host-visible instrumentation of the scheduler itself — they feed
-//! the `--figure sched` table, never the HPM counters.
+//! The engine's scheduler skips provably idle quanta, and these counters
+//! quantify how much dead time it made free: wake-ups dispatched, idle
+//! quanta skipped versus executed, and the wake-heap's occupancy
+//! high-water mark. They are host-visible instrumentation of the
+//! scheduler itself — they feed the `--figure sched` table, never the HPM
+//! counters.
 
 use jas_simkernel::snapshot::{Persist, StateIo};
 
@@ -19,7 +18,7 @@ pub struct SchedStats {
     pub idle_ticks_skipped: u64,
     /// Quanta stepped through the full plan/execute/reconcile path.
     pub quanta_executed: u64,
-    /// Most entries the wake heap ever held at once.
+    /// Most live wake-up registrations the heap ever held at once.
     pub heap_high_water: u64,
 }
 
@@ -31,7 +30,7 @@ impl SchedStats {
     }
 
     /// Fraction of quanta that were skipped (0 when nothing ran yet —
-    /// and for the quantum scheduler, which never skips).
+    /// and for the no-skip test oracle, which never skips).
     #[must_use]
     pub fn skip_fraction(&self) -> f64 {
         let total = self.total_ticks();

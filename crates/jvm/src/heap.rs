@@ -413,7 +413,7 @@ impl Persist for SimHeap {
     // jas-lint: allow(D009, reason = "cfg is construction-time configuration")
     fn persist(&mut self, io: &mut dyn StateIo) {
         let mut len = self.slots.len() as u64;
-        io.word(&mut len);
+        io.length(&mut len);
         if !io.saving() {
             self.slots.clear();
             self.links.clear();
@@ -425,7 +425,7 @@ impl Persist for SimHeap {
             s.addr.persist(io);
             s.size.persist(io);
             let mut count = Refs::new(&self.links, s.ref_head).count() as u64;
-            io.word(&mut count);
+            io.length(&mut count);
             if io.saving() {
                 for mut r in Refs::new(&self.links, s.ref_head) {
                     r.persist(io);

@@ -36,7 +36,7 @@ const IDLE_PREDICATE: &str = "quantum_is_idle";
 
 /// Fn names that register wake-ups by construction (beyond a literal
 /// `self.wakes.register(…)` in the body).
-const WAKE_REGISTRARS: &[&str] = &["rebuild_wakes", "register_standing_wakes"];
+const WAKE_REGISTRARS: &[&str] = &["register_initial_wakes", "register_standing_wakes"];
 
 /// Runs every semantic rule over the workspace.
 #[must_use]

@@ -35,7 +35,7 @@ pub use jas2004::checkpoint::{
     JCKPT_VERSION,
 };
 pub use jas2004::reduce::{reduce_divergence, DivergenceWitness, WITNESS_MAGIC};
-pub use jas2004::{Engine, RunArtifacts, RunPlan, SchedMode, SutConfig};
+pub use jas2004::{Engine, RunArtifacts, RunPlan, SutConfig};
 pub use jas_workload::{ReplayLog, ReplayScenario};
 
 /// Runs `cfg`/`plan` to completion while recording the request stream,

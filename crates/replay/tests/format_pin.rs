@@ -34,10 +34,10 @@ fn magic_words_match_the_spec() {
 #[test]
 fn container_version_is_pinned() {
     // Bumping this constant invalidates every committed checkpoint: do it
-    // only with a matching docs/jckpt-format.md update. Version 3 widened
-    // the fault counters for the fleet kinds, added the breaker's
-    // half-open probe spacing, and added the front-end outcome counters.
-    assert_eq!(JCKPT_VERSION, 3);
+    // only with a matching docs/jckpt-format.md update. Version 4 dropped
+    // the scheduler-mode field from the fingerprinted configuration and
+    // always carries live wake-up registrations.
+    assert_eq!(JCKPT_VERSION, 4);
 }
 
 #[test]
@@ -63,12 +63,11 @@ fn jckpt_header_layout_is_pinned() {
 }
 
 #[test]
-fn fingerprint_is_thread_hostprof_and_sched_invariant_only() {
+fn fingerprint_is_thread_and_hostprof_invariant_only() {
     let cfg = quick_cfg();
     let mut threaded = cfg.clone();
     threaded.threads = 8;
     threaded.host_prof = true;
-    threaded.sched = jas_replay::SchedMode::Event;
     assert_eq!(config_fingerprint(&cfg), config_fingerprint(&threaded));
 
     let mut reseeded = cfg.clone();

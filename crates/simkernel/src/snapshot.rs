@@ -32,6 +32,13 @@ pub trait StateIo {
 
     /// Saves or loads one 64-bit word — the only primitive of the format.
     fn word(&mut self, v: &mut u64);
+
+    /// Saves or loads a collection's element count. Every persisted
+    /// element is at least one word, so a [`Loader`] rejects a count
+    /// larger than the words it has left.
+    fn length(&mut self, len: &mut u64) {
+        self.word(len);
+    }
 }
 
 /// State that can round-trip through a checkpoint.
@@ -86,9 +93,11 @@ impl StateIo for Saver {
 /// Deserializes state from a byte buffer.
 ///
 /// A short read poisons the loader (subsequent words read as zero) instead
-/// of panicking; callers check [`Loader::finish`] after the visit, which
-/// also rejects trailing bytes — a stream that is too long or too short
-/// means the checkpoint was produced by a different state layout.
+/// of panicking, and so does an element count larger than the words left,
+/// which then loads as zero elements: hostile lengths never allocate.
+/// Callers check [`Loader::finish`] after the visit, which also rejects
+/// trailing bytes — a stream that is too long or too short means the
+/// checkpoint was produced by a different state layout.
 pub struct Loader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -145,6 +154,16 @@ impl StateIo for Loader<'_> {
                 self.underflow = true;
                 *v = 0;
             }
+        }
+    }
+
+    fn length(&mut self, len: &mut u64) {
+        self.word(len);
+        let words_left = (self.buf.len() - self.pos) / 8;
+        if *len > words_left as u64 {
+            self.underflow = true;
+            self.pos = self.buf.len();
+            *len = 0;
         }
     }
 }
@@ -254,7 +273,7 @@ pub fn persist_vec_with<T: Persist>(
     mut make: impl FnMut() -> T,
 ) {
     let mut len = v.len() as u64;
-    io.word(&mut len);
+    io.length(&mut len);
     if !io.saving() {
         v.clear();
         for _ in 0..len {
@@ -274,7 +293,7 @@ pub fn persist_vec<T: Persist + Default>(io: &mut dyn StateIo, v: &mut Vec<T>) {
 /// Persists a double-ended queue of default-constructible elements.
 pub fn persist_deque<T: Persist + Default>(io: &mut dyn StateIo, v: &mut VecDeque<T>) {
     let mut len = v.len() as u64;
-    io.word(&mut len);
+    io.length(&mut len);
     if !io.saving() {
         v.clear();
         for _ in 0..len {
@@ -336,7 +355,7 @@ where
     V: Persist + Default,
 {
     let mut len = m.len() as u64;
-    io.word(&mut len);
+    io.length(&mut len);
     if io.saving() {
         for (k, v) in m.iter_mut() {
             let mut key = *k;
@@ -361,7 +380,7 @@ where
     K: Persist + Default + Ord + Copy,
 {
     let mut len = s.len() as u64;
-    io.word(&mut len);
+    io.length(&mut len);
     if io.saving() {
         for k in s.iter() {
             let mut key = *k;
@@ -478,6 +497,38 @@ mod tests {
         fresh.persist(&mut loader);
         loader.finish().expect("exact stream");
         assert_eq!(fresh, d);
+    }
+
+    #[test]
+    fn hostile_lengths_poison_the_loader_without_allocating() {
+        // A count of 2^40 with nothing behind it: trusting it would ask
+        // the allocator for terabytes before the first element is read.
+        let bytes = (1u64 << 40).to_le_bytes();
+        let mut v: Vec<u64> = vec![9];
+        let mut loader = Loader::new(&bytes);
+        persist_vec(&mut loader, &mut v);
+        assert!(v.is_empty());
+        assert!(loader.finish().is_err());
+        let mut q: VecDeque<u64> = VecDeque::new();
+        let mut loader = Loader::new(&bytes);
+        persist_deque(&mut loader, &mut q);
+        assert!(q.is_empty() && loader.finish().is_err());
+        let mut m: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut loader = Loader::new(&bytes);
+        persist_map(&mut loader, &mut m);
+        assert!(m.is_empty() && loader.finish().is_err());
+        let mut set: BTreeSet<u64> = BTreeSet::new();
+        let mut loader = Loader::new(&bytes);
+        persist_set(&mut loader, &mut set);
+        assert!(set.is_empty() && loader.finish().is_err());
+        // A count that fits the words left still loads.
+        let mut saver = Saver::new();
+        persist_vec(&mut saver, &mut vec![1u64, 2]);
+        let bytes = saver.into_bytes();
+        let mut loader = Loader::new(&bytes);
+        persist_vec(&mut loader, &mut v);
+        loader.finish().expect("exact stream");
+        assert_eq!(v, [1, 2]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl WakeHeap {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse((tick, comp, seq)));
-        self.high_water = self.high_water.max(self.heap.len() as u64);
+        self.high_water = self.high_water.max(self.registered.len() as u64);
     }
 
     /// Withdraws `comp`'s registration, if any. The heap entry is
@@ -112,8 +112,10 @@ impl WakeHeap {
         self.registered.is_empty()
     }
 
-    /// The most entries (live + stale) the heap has ever held — the
+    /// The most live registrations the heap has ever held — the
     /// scheduler-occupancy high-water mark surfaced by `--figure sched`.
+    /// Stale entries are not counted, so a heap restored from its
+    /// canonical form keeps the same high-water trajectory.
     #[must_use]
     pub fn high_water(&self) -> u64 {
         self.high_water
@@ -207,6 +209,23 @@ mod tests {
     }
 
     #[test]
+    fn high_water_ignores_stale_entries() {
+        let mut h = WakeHeap::new();
+        h.register(1, 10);
+        h.register(1, 5); // the tick-10 entry goes stale
+        h.register(2, 7);
+        let mut saver = Saver::new();
+        h.persist(&mut saver);
+        let bytes = saver.into_bytes();
+        let mut restored = WakeHeap::new();
+        restored.persist(&mut Loader::new(&bytes));
+        for heap in [&mut h, &mut restored] {
+            heap.register(3, 8);
+            assert_eq!(heap.high_water(), 3, "three live registrations");
+        }
+    }
+
+    #[test]
     fn persist_round_trip_is_canonical() {
         let mut h = WakeHeap::new();
         h.register(10, 50);
@@ -225,7 +244,6 @@ mod tests {
         clean.register(10, 40);
         clean.register(3, 40);
         clean.register(8, 90);
-        clean.high_water = h.high_water;
         let mut saver2 = Saver::new();
         clean.persist(&mut saver2);
         assert_eq!(bytes, saver2.into_bytes());

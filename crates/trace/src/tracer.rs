@@ -165,8 +165,8 @@ impl Tracer {
     }
 
     /// FNV-1a `TRACE_DIGEST` over `(at, trace_id, code, arg)` of every
-    /// event — the fingerprint the CI `replay-smoke` and `sched-smoke` jobs
-    /// diff across runs.
+    /// event — the fingerprint the CI `replay-smoke` job and the
+    /// skip-exactness tests diff across runs.
     #[must_use]
     pub fn digest(&self) -> u64 {
         digest_of(&self.events)

@@ -197,6 +197,15 @@ mod tests {
     }
 
     #[test]
+    fn hostile_length_word_is_rejected_not_allocated() {
+        // The log has no trailer digest, so its first length word is the
+        // first thing a hostile file controls.
+        let mut bytes = sample_log().to_bytes();
+        bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(ReplayLog::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
     fn replay_scenario_pops_in_order() {
         let mut s = ReplayScenario::new(sample_log());
         let (gap, kind) = s.next_arrival();

@@ -7,55 +7,28 @@
 //! Prints the fleet table plus the run report's digest/verdict lines
 //! (`HPM_DIGEST`, `FAULT_DIGEST`, `NODE<i>_HPM_DIGEST`,
 //! `ACTIVE_NODES`, `CLUSTER_VERDICT`) that the CI `cluster-smoke` job
-//! diffs across `--threads` values and both schedulers: a failover run
-//! is bit-identical no matter how the host executes it.
+//! diffs across `--threads` values: a failover run is bit-identical no
+//! matter how the host executes it.
 //!
 //! ```sh
-//! cargo run --release --example chaos_failover -- --threads 4 --sched event
+//! cargo run --release --example chaos_failover -- --threads 4
 //! ```
 
 use jas2004::report::RunReport;
-use jas2004::{
-    figures, report, run_cluster, DispatchPolicy, FaultPlan, RunPlan, SchedMode, SutConfig,
-};
+use jas2004::{figures, report, run_cluster, DispatchPolicy, FaultPlan, RunPlan, SutConfig};
 use jas_simkernel::SimDuration;
 
 fn main() {
-    let mut threads = 1usize;
-    let mut sched = SchedMode::Quantum;
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                threads = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads requires a positive integer");
-                        std::process::exit(1);
-                    });
-                i += 1;
-            }
-            "--sched" => {
-                sched = match args.get(i + 1).map(String::as_str) {
-                    Some("quantum") => SchedMode::Quantum,
-                    Some("event") => SchedMode::Event,
-                    _ => {
-                        eprintln!("--sched requires 'quantum' or 'event'");
-                        std::process::exit(1);
-                    }
-                };
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag '{other}' (only --threads <N>, --sched <MODE>)");
-                std::process::exit(1);
-            }
-        }
-        i += 1;
+    let threads = match args.as_slice() {
+        [] => Some(1),
+        [flag, n] if flag == "--threads" => n.parse().ok().filter(|&n: &usize| n > 0),
+        _ => None,
     }
+    .unwrap_or_else(|| {
+        eprintln!("usage: chaos_failover [--threads <N>], N a positive integer");
+        std::process::exit(1);
+    });
 
     let plan = RunPlan {
         ramp_up: SimDuration::from_secs(5),
@@ -69,13 +42,10 @@ fn main() {
     let mut cfg = SutConfig::at_ir(15);
     cfg.machine.frequency_hz = 500_000.0;
     cfg.threads = threads;
-    cfg.sched = sched;
     cfg.seed = 7;
     cfg.faults.plan = FaultPlan::parse(storm).expect("storm spec parses");
 
-    println!(
-        "chaos failover: 3 nodes, least-conn, {threads} host thread(s), {sched:?} scheduler, storm at t=8..26s"
-    );
+    println!("chaos failover: 3 nodes, least-conn, {threads} host thread(s), storm at t=8..26s");
     let art = run_cluster(&cfg, plan, 3, DispatchPolicy::LeastConn);
     print!("{}", report::render_cluster(&figures::cluster_table(&art)));
 

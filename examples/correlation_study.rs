@@ -40,7 +40,7 @@ fn main() {
         let mut engine = Engine::new(SutConfig::at_ir(40), plan);
         let end = plan.end();
         while engine.now() < end {
-            engine.step_quantum();
+            engine.run_to(engine.now() + engine.config().quantum);
             hpm.observe(engine.now(), &engine.machine().total_counters());
         }
         hpm.finish(end);

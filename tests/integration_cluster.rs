@@ -1,6 +1,6 @@
 //! Fleet determinism and failover gate (DESIGN.md §13): a seeded chaos
 //! storm over an `N`-node cluster must be bit-identical with lanes on and
-//! off under both schedulers, the failover verdict must
+//! off, and match the digests the no-skip loop pinned, the failover verdict must
 //! account for every dispatched request (zero lost, bounded shed), and
 //! a single-node run — the legacy engine path — must stay byte-identical
 //! to a build without the cluster layer, fleet-only fault plans included.
@@ -10,7 +10,7 @@ mod common;
 use common::per_core_hpm_digest;
 use jas2004::{
     run_cluster, ClusterArtifacts, DispatchPolicy, Engine, FaultKind, FaultPlan, FaultWindow,
-    RunPlan, SchedMode, SutConfig,
+    RunPlan, SutConfig,
 };
 use jas_simkernel::SimDuration;
 use proptest::prelude::*;
@@ -27,59 +27,57 @@ fn plan() -> RunPlan {
 
 /// A fleet storm: crash-stops, a gray failure, and a partition, all
 /// inside the 14 s run.
-fn storm_cfg(threads: usize, sched: SchedMode) -> SutConfig {
+fn storm_cfg(threads: usize) -> SutConfig {
     let mut c = SutConfig::at_ir(8);
     c.machine.frequency_hz = 100_000.0;
     c.threads = threads;
-    c.sched = sched;
     c.seed = 7;
     c.faults.plan = FaultPlan::parse("node-crash@4-10:0.1,node-slow@5-9:0.4,partition@6-8:0.5")
         .expect("storm spec parses");
     c
 }
 
-fn run_storm(threads: usize, sched: SchedMode) -> ClusterArtifacts {
-    run_cluster(
-        &storm_cfg(threads, sched),
-        plan(),
-        3,
-        DispatchPolicy::LeastConn,
-    )
+fn run_storm(threads: usize) -> ClusterArtifacts {
+    run_cluster(&storm_cfg(threads), plan(), 3, DispatchPolicy::LeastConn)
 }
+
+/// The storm's fleet HPM, fault and per-node digests as the fixed-quantum
+/// loop printed them, before skipping became the only scheduler: fleet
+/// nodes skip idle quanta, and these pins keep them checked against the
+/// no-skip values.
+const STORM_HPM_DIGEST: u64 = 0xa6a3_6ae3_2af4_a46e;
+const STORM_FAULT_DIGEST: u64 = 0x1b88_f4f9_1f8b_3896;
+const STORM_NODE_HPM_DIGESTS: [u64; 3] = [
+    0xa2d1_16ad_2283_dbcb,
+    0xa64b_ba36_c2c0_20e9,
+    0x1bb9_1ff9_f09b_cc29,
+];
 
 /// The CI cluster gate: HPM, trace, and fault digests are identical with
 /// lanes off (`--threads 1`) and on (`--threads 2`; any value above 1
-/// takes the same lane path) under both schedulers, through a storm that
-/// actually crashes nodes.
+/// takes the same lane path) and equal the no-skip pins, through a storm
+/// that actually crashes nodes.
 #[test]
 fn chaos_storm_is_bit_identical_across_threads_and_schedulers() {
-    let base = run_storm(1, SchedMode::Quantum);
+    let base = run_storm(1);
     assert!(
         base.stats.crashes > 0,
         "the storm must crash nodes for the gate to mean anything: {:?}",
         base.stats
     );
-    for threads in [1usize, 2] {
-        for sched in [SchedMode::Quantum, SchedMode::Event] {
-            if threads == 1 && sched == SchedMode::Quantum {
-                continue;
-            }
-            let other = run_storm(threads, sched);
-            assert_eq!(
-                base.hpm_digest, other.hpm_digest,
-                "fleet HPM digest diverges at threads {threads} / {sched:?}"
-            );
-            assert_eq!(
-                base.trace_digest, other.trace_digest,
-                "fleet trace digest diverges at threads {threads} / {sched:?}"
-            );
-            assert_eq!(
-                base.fault_digest, other.fault_digest,
-                "fleet fault digest diverges at threads {threads} / {sched:?}"
-            );
-            assert_eq!(base.node_hpm_digests, other.node_hpm_digests);
-            assert_eq!(base.stats, other.stats);
-        }
+    let lanes = run_storm(2);
+    for (threads, other) in [(1, &base), (2, &lanes)] {
+        assert_eq!(
+            other.hpm_digest, STORM_HPM_DIGEST,
+            "fleet HPM digest diverges at threads {threads}"
+        );
+        assert_eq!(
+            other.fault_digest, STORM_FAULT_DIGEST,
+            "fleet fault digest diverges at threads {threads}"
+        );
+        assert_eq!(other.node_hpm_digests, STORM_NODE_HPM_DIGESTS);
+        assert_eq!(base.trace_digest, other.trace_digest);
+        assert_eq!(base.stats, other.stats);
     }
 }
 
@@ -88,7 +86,7 @@ fn chaos_storm_is_bit_identical_across_threads_and_schedulers() {
 /// fraction rather than queueing unboundedly.
 #[test]
 fn storm_failover_verdict_is_pinned() {
-    let art = run_storm(1, SchedMode::Quantum);
+    let art = run_storm(1);
     let v = &art.verdict;
     assert_eq!(v.lost, 0, "requests lost in failover: {:?}", art.stats);
     assert!(art.stats.crashes > 0, "storm must crash: {:?}", art.stats);
@@ -110,7 +108,7 @@ fn storm_failover_verdict_is_pinned() {
 /// over the node engines, so every node's quanta are counted once.
 #[test]
 fn fleet_host_profile_sums_the_node_engines() {
-    let mut c = storm_cfg(1, SchedMode::Quantum);
+    let mut c = storm_cfg(1);
     c.faults.plan = FaultPlan::default();
     assert!(run_cluster(&c, plan(), 2, DispatchPolicy::LeastConn)
         .host_profile
@@ -132,8 +130,8 @@ fn fleet_host_profile_sums_the_node_engines() {
 #[test]
 fn each_dispatch_policy_is_reproducible() {
     for policy in DispatchPolicy::ALL {
-        let a = run_cluster(&storm_cfg(1, SchedMode::Quantum), plan(), 2, policy);
-        let b = run_cluster(&storm_cfg(1, SchedMode::Quantum), plan(), 2, policy);
+        let a = run_cluster(&storm_cfg(1), plan(), 2, policy);
+        let b = run_cluster(&storm_cfg(1), plan(), 2, policy);
         assert_eq!(
             a.hpm_digest,
             b.hpm_digest,

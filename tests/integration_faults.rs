@@ -1,13 +1,13 @@
 //! Fault-injection determinism gate: a faulted run — retries, breaker
 //! trips, redeliveries, dead letters, GC storms and all — must be
-//! bit-identical under both schedulers, and an empty fault plan
+//! bit-identical with and without idle skipping, and an empty fault plan
 //! must leave the engine byte-for-byte on its legacy path (the golden
 //! HPM digest in `integration_determinism.rs` pins that separately).
 
 mod common;
 
 use common::per_core_hpm_digest;
-use jas2004::{Engine, FaultCounters, FaultPlan, RunPlan, SchedMode, SutConfig};
+use jas2004::{Engine, FaultCounters, FaultPlan, RunPlan, SutConfig};
 use jas_simkernel::SimDuration;
 use proptest::prelude::*;
 
@@ -53,9 +53,9 @@ fn storm_exercises_the_resilience_machinery() {
 }
 
 proptest! {
-    /// Digest pinning as a property: for any seed, a faulted run under
-    /// `--sched event` is bit-identical to `--sched quantum` — HPM
-    /// counters and the fault-event series both. Uses a short run so the
+    /// Digest pinning as a property: for any seed, a faulted run is
+    /// bit-identical to the `Engine::no_skip` oracle's — HPM counters and
+    /// the fault-event series both. Uses a short run so the
     /// default case count stays affordable.
     #[test]
     fn any_seed_faulted_digest_is_scheduler_invariant(seed in any::<u64>()) {
@@ -65,21 +65,17 @@ proptest! {
             hpm_period: SimDuration::from_millis(500),
             throughput_bin: SimDuration::from_secs(2),
         };
-        let run = |sched: SchedMode| -> Engine {
-            let mut c = SutConfig::at_ir(10);
-            c.machine.frequency_hz = 100_000.0;
-            c.seed = seed;
-            c.sched = sched;
-            c.faults.plan = FaultPlan::parse(
-                "db-lock@2-8:0.4,jms-redeliver@2-8:0.5,gc-storm@2-8:0.1",
-            )
-            .expect("spec parses");
-            let mut e = Engine::new(c, short);
-            e.run_to_end();
-            e
-        };
-        let quantum = run(SchedMode::Quantum);
-        let event = run(SchedMode::Event);
+        let mut c = SutConfig::at_ir(10);
+        c.machine.frequency_hz = 100_000.0;
+        c.seed = seed;
+        c.faults.plan = FaultPlan::parse(
+            "db-lock@2-8:0.4,jms-redeliver@2-8:0.5,gc-storm@2-8:0.1",
+        )
+        .expect("spec parses");
+        let mut quantum = Engine::no_skip(c.clone(), short);
+        quantum.run_to_end();
+        let mut event = Engine::new(c, short);
+        event.run_to_end();
         prop_assert_eq!(quantum.fault_log().digest(), event.fault_log().digest());
         prop_assert_eq!(per_core_hpm_digest(&quantum), per_core_hpm_digest(&event));
         prop_assert_eq!(quantum.fault_counters(), event.fault_counters());

@@ -1,6 +1,6 @@
 //! Scenario-registry gate: the seed scenarios under `scenarios/` parse
-//! with their pinned digests, time-varying load is bit-identical under
-//! both schedulers (and, for a fleet, with lanes on and off), a constant-curve
+//! with their pinned digests, time-varying load is bit-identical to the
+//! no-skip oracle (and, for a fleet, with lanes on and off), a constant-curve
 //! scenario is byte-identical to the equivalent `--ir` flat run, the
 //! autoscaler's add/remove decisions reconcile with the fleet dispatch
 //! counters, and `--fault-plan @FILE` errors keep both the file path
@@ -12,7 +12,7 @@ use common::per_core_hpm_digest;
 use jas2004::cli::{parse_args, Cli};
 use jas2004::{
     run_cluster, run_cluster_with, run_experiment, AutoscaleConfig, Engine, RunPlan, ScenarioKind,
-    SchedMode, SutConfig,
+    SutConfig,
 };
 use jas_scenario::ScenarioSpec;
 use jas_simkernel::SimDuration;
@@ -45,14 +45,13 @@ fn load(name: &str) -> ScenarioSpec {
 
 /// The spec applied to a scaled-down machine so the invariance sweeps
 /// stay fast; the CI scenario-matrix runs the real binary at full scale.
-fn config_from(spec: &ScenarioSpec, threads: usize, sched: SchedMode) -> (SutConfig, RunPlan) {
+fn config_from(spec: &ScenarioSpec, threads: usize) -> (SutConfig, RunPlan) {
     let mut c = SutConfig::at_ir(spec.ir);
     c.machine.frequency_hz = 100_000.0;
     c.seed = 7;
     c.curve = spec.compile_curve();
     c.faults.plan = spec.plan();
     c.threads = threads;
-    c.sched = sched;
     let plan = RunPlan {
         ramp_up: SimDuration::from_secs(spec.ramp_s),
         steady: SimDuration::from_secs(spec.steady_s),
@@ -82,35 +81,46 @@ fn seed_scenario_digests_are_pinned() {
 }
 
 /// Time-varying load through the single-engine path: the diurnal
-/// scenario's per-core counters are bit-identical under both schedulers.
+/// scenario's per-core counters are bit-identical to the no-skip oracle's.
 #[test]
 fn diurnal_scenario_is_scheduler_invariant() {
     let spec = load("diurnal-24h");
     assert!(!spec.compile_curve().is_flat());
-    let (cfg, plan) = config_from(&spec, 1, SchedMode::Quantum);
-    let mut base = Engine::new(cfg, plan);
+    let (cfg, plan) = config_from(&spec, 1);
+    let mut base = Engine::no_skip(cfg.clone(), plan);
     base.run_to_end();
     let golden = per_core_hpm_digest(&base);
-    let (cfg, plan) = config_from(&spec, 1, SchedMode::Event);
     let mut e = Engine::new(cfg, plan);
     e.run_to_end();
     assert_eq!(
         per_core_hpm_digest(&e),
         golden,
-        "diurnal diverges under the event scheduler"
+        "diurnal diverges from the no-skip oracle"
     );
     assert_eq!(e.fault_log().digest(), base.fault_log().digest());
 }
 
+/// The flash-crowd fleet's HPM, fault and per-node digests as the
+/// fixed-quantum loop printed them, before skipping became the only
+/// scheduler: these pins keep the skipping fleet checked against the
+/// no-skip values.
+const FLASH_HPM_DIGEST: u64 = 0xc7c6_b55d_845e_bddc;
+const FLASH_FAULT_DIGEST: u64 = 0xa435_e712_f555_7dcd;
+const FLASH_NODE_HPM_DIGESTS: [u64; 3] = [
+    0x6f22_548f_50ad_c926,
+    0x3585_415d_b5db_8654,
+    0x0e44_b652_ef32_fbe7,
+];
+
 /// Time-varying load through the fleet path: the flash-crowd scenario's
 /// fleet digests, stats, and final active-node count are identical with
-/// lanes off (threads 1) and on (threads 2) under both schedulers; any
-/// value above 1 takes the same lane path.
+/// lanes off (threads 1) and on (threads 2), and equal the no-skip pins;
+/// any value above 1 takes the same lane path.
 #[test]
 fn flash_crowd_scenario_is_thread_and_scheduler_invariant() {
     let spec = load("flash-crowd");
-    let run = |threads, sched| {
-        let (cfg, plan) = config_from(&spec, threads, sched);
+    let run = |threads| {
+        let (cfg, plan) = config_from(&spec, threads);
         run_cluster_with(
             &cfg,
             plan,
@@ -121,22 +131,17 @@ fn flash_crowd_scenario_is_thread_and_scheduler_invariant() {
             None,
         )
     };
-    let base = run(1, SchedMode::Quantum);
-    for threads in [1usize, 2] {
-        for sched in [SchedMode::Quantum, SchedMode::Event] {
-            if threads == 1 && sched == SchedMode::Quantum {
-                continue;
-            }
-            let other = run(threads, sched);
-            assert_eq!(
-                base.hpm_digest, other.hpm_digest,
-                "flash-crowd fleet diverges at threads {threads} / {sched:?}"
-            );
-            assert_eq!(base.fault_digest, other.fault_digest);
-            assert_eq!(base.node_hpm_digests, other.node_hpm_digests);
-            assert_eq!(base.stats, other.stats);
-            assert_eq!(base.active_nodes, other.active_nodes);
-        }
+    let base = run(1);
+    let lanes = run(2);
+    for (threads, other) in [(1, &base), (2, &lanes)] {
+        assert_eq!(
+            other.hpm_digest, FLASH_HPM_DIGEST,
+            "flash-crowd fleet diverges at threads {threads}"
+        );
+        assert_eq!(other.fault_digest, FLASH_FAULT_DIGEST);
+        assert_eq!(other.node_hpm_digests, FLASH_NODE_HPM_DIGESTS);
+        assert_eq!(base.stats, other.stats);
+        assert_eq!(base.active_nodes, other.active_nodes);
     }
 }
 
@@ -154,7 +159,7 @@ fn autoscaler_decisions_reconcile_with_fleet_counters() {
         down_jops_per_node: 1.0,
         ..spec.autoscale.expect("flash-crowd arms the autoscaler")
     };
-    let (cfg, plan) = config_from(&spec, 1, SchedMode::Quantum);
+    let (cfg, plan) = config_from(&spec, 1);
     let art = run_cluster_with(
         &cfg,
         plan,
@@ -190,7 +195,7 @@ fn autoscaler_decisions_reconcile_with_fleet_counters() {
 fn constant_curve_scenario_matches_the_flat_run() {
     let spec = load("steady-40");
     assert!(spec.compile_curve().is_flat());
-    let (cfg, plan) = config_from(&spec, 1, SchedMode::Quantum);
+    let (cfg, plan) = config_from(&spec, 1);
     let mut flat_cfg = SutConfig::at_ir(spec.ir);
     flat_cfg.machine.frequency_hz = cfg.machine.frequency_hz;
     flat_cfg.seed = cfg.seed;

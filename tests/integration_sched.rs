@@ -1,15 +1,16 @@
-//! Event-scheduler equivalence gate: `--sched event` must produce
-//! bit-identical HPM, trace, and fault digests to the legacy
-//! `--sched quantum` loop — on a traced run, under a full fault storm,
-//! and across a checkpoint/restore that crosses scheduler
-//! modes in both directions. The event scheduler's whole value is that
-//! skipping provably idle quanta is *unobservable*; these tests are the
-//! observability check.
+//! Skip-exactness gate: the engine must produce bit-identical HPM, trace,
+//! and fault digests to the `Engine::no_skip` oracle, which executes every
+//! quantum — on a traced run, under a full fault storm, and across a
+//! checkpoint/restore that crosses between the two in both directions.
+//! The event scheduler's whole value is that skipping provably idle
+//! quanta is *unobservable*; these tests are the observability check.
 
 mod common;
 
 use common::per_core_hpm_digest;
-use jas2004::{checkpoint_bytes, restore_engine, Engine, FaultPlan, RunPlan, SchedMode, SutConfig};
+use jas2004::{
+    checkpoint_bytes, restore_engine, restore_into, Engine, FaultPlan, RunPlan, SutConfig,
+};
 use jas_simkernel::{SimDuration, SimTime};
 use jas_trace::TraceSpec;
 use proptest::prelude::*;
@@ -26,21 +27,19 @@ fn plan() -> RunPlan {
 /// A traced, lightly loaded configuration: low IR on a slow clock leaves
 /// idle quanta for the event scheduler to skip, and tracing keeps the
 /// TRACE digest non-trivial.
-fn traced_cfg(sched: SchedMode) -> SutConfig {
+fn traced_cfg() -> SutConfig {
     let mut c = SutConfig::at_ir(10);
     c.machine.frequency_hz = 100_000.0;
     c.trace = TraceSpec::all();
-    c.sched = sched;
     c
 }
 
 /// The storm from `integration_faults.rs`: every fault kind active, so
 /// window-edge wake-ups, seize-level transitions, and GC-storm rolls all
 /// exercise the idle predicate.
-fn storm_cfg(sched: SchedMode) -> SutConfig {
+fn storm_cfg() -> SutConfig {
     let mut c = SutConfig::at_ir(15);
     c.machine.frequency_hz = 500_000.0;
-    c.sched = sched;
     c.faults.plan = FaultPlan::parse(
         "db-lock@8-20:0.35,db-io@10-25:0.25,jms-redeliver@6-25:0.5,\
          jms-dup@6-25:0.3,pool-seize@12-25:0.6,gc-storm@8-25:0.08",
@@ -49,20 +48,19 @@ fn storm_cfg(sched: SchedMode) -> SutConfig {
     c
 }
 
-fn finished(cfg: SutConfig) -> Engine {
-    let mut e = Engine::new(cfg, plan());
+fn finished(mut e: Engine) -> Engine {
     e.run_to_end();
     e
 }
 
-/// The CI sched gate: HPM, trace, and fault digests are identical across
-/// schedulers — and the event scheduler actually skipped something, so
-/// the equality is not vacuous.
+/// The skip-exactness gate: HPM, trace, and fault digests are identical
+/// to the oracle's — and the engine actually skipped something, so the
+/// equality is not vacuous.
 #[test]
 fn event_scheduler_digests_match_quantum() {
-    let golden = finished(traced_cfg(SchedMode::Quantum));
+    let golden = finished(Engine::no_skip(traced_cfg(), plan()));
     assert!(!golden.tracer().is_empty());
-    let event = finished(traced_cfg(SchedMode::Event));
+    let event = finished(Engine::new(traced_cfg(), plan()));
     assert_eq!(
         per_core_hpm_digest(&event),
         per_core_hpm_digest(&golden),
@@ -87,21 +85,21 @@ fn event_scheduler_digests_match_quantum() {
     assert_eq!(
         stats.total_ticks(),
         golden.sched_stats().quanta_executed,
-        "skipped + executed must cover the quantum scheduler's timeline"
+        "skipped + executed must cover the oracle's timeline"
     );
 }
 
-/// Under a full fault storm the idle predicate must keep the schedulers
-/// in lockstep: active windows pin quanta as non-idle, window edges are
-/// registered wake-ups, and the digests stay bit-identical.
+/// Under a full fault storm the idle predicate must keep skipping in
+/// lockstep with the oracle: active windows pin quanta as non-idle, window
+/// edges are registered wake-ups, and the digests stay bit-identical.
 #[test]
 fn event_scheduler_matches_quantum_under_a_fault_storm() {
-    let quantum = finished(storm_cfg(SchedMode::Quantum));
+    let quantum = finished(Engine::no_skip(storm_cfg(), plan()));
     assert!(
         !quantum.fault_log().is_empty(),
         "the storm must record events for the gate to mean anything"
     );
-    let event = finished(storm_cfg(SchedMode::Event));
+    let event = finished(Engine::new(storm_cfg(), plan()));
     assert_eq!(
         per_core_hpm_digest(&event),
         per_core_hpm_digest(&quantum),
@@ -115,43 +113,45 @@ fn event_scheduler_matches_quantum_under_a_fault_storm() {
     assert_eq!(event.completed_requests(), quantum.completed_requests());
 }
 
-/// A checkpoint taken under one scheduler (with a live wake heap in the
-/// event case) restores under the other and finishes bit-identically, in
-/// both directions — the `.jckpt` payload is scheduler-independent and
-/// the event scheduler rebuilds any missing wake-ups from restored state.
+/// A checkpoint taken by the oracle resumes with skipping, and one taken
+/// with skipping resumes under the oracle; both finish bit-identically to
+/// the oracle's straight run — the `.jckpt` payload carries the live
+/// wake-ups either way.
 #[test]
 fn checkpoints_cross_schedulers_in_both_directions() {
-    let golden = finished(traced_cfg(SchedMode::Quantum));
+    let golden = finished(Engine::no_skip(traced_cfg(), plan()));
     let golden_digest = per_core_hpm_digest(&golden);
     let golden_trace = golden.tracer().digest();
 
-    for (from, to) in [
-        (SchedMode::Quantum, SchedMode::Event),
-        (SchedMode::Event, SchedMode::Quantum),
-    ] {
-        let mut first = Engine::new(traced_cfg(from), plan());
+    let checkpoint_at_12s = |mut first: Engine| {
         first.run_to(SimTime::from_secs(12));
-        let bytes = checkpoint_bytes(&mut first);
-        let mut resumed = restore_engine(&traced_cfg(to), plan(), &bytes)
-            .expect("cross-scheduler restore validates");
-        resumed.run_to_end();
+        checkpoint_bytes(&mut first)
+    };
+    let bytes = checkpoint_at_12s(Engine::no_skip(traced_cfg(), plan()));
+    let skipping = restore_engine(&traced_cfg(), plan(), &bytes).expect("restore validates");
+    let bytes = checkpoint_at_12s(Engine::new(traced_cfg(), plan()));
+    let oracle =
+        restore_into(Engine::no_skip(traced_cfg(), plan()), &bytes).expect("restore validates");
+
+    for (direction, resumed) in [("no-skip -> skip", skipping), ("skip -> no-skip", oracle)] {
+        let resumed = finished(resumed);
         assert_eq!(
             per_core_hpm_digest(&resumed),
             golden_digest,
-            "restore {from:?} -> {to:?} diverges from the straight run"
+            "restore {direction} diverges from the straight run"
         );
         assert_eq!(
             resumed.tracer().digest(),
             golden_trace,
-            "trace digest diverges after restore {from:?} -> {to:?}"
+            "trace digest diverges after restore {direction}"
         );
     }
 }
 
 proptest! {
-    /// Scheduler equivalence holds for arbitrary seeds, not just the
-    /// golden one: a short run yields the same HPM digest and completion
-    /// count under both schedulers.
+    /// Skip exactness holds for arbitrary seeds, not just the golden one:
+    /// a short run yields the same HPM digest and completion count as the
+    /// oracle.
     #[test]
     fn any_seed_event_scheduler_matches_quantum(seed in any::<u64>()) {
         let short = RunPlan {
@@ -160,15 +160,16 @@ proptest! {
             hpm_period: SimDuration::from_millis(500),
             throughput_bin: SimDuration::from_secs(2),
         };
-        let run = |sched: SchedMode| {
-            let mut c = SutConfig::at_ir(10);
-            c.machine.frequency_hz = 100_000.0;
-            c.seed = seed;
-            c.sched = sched;
-            let mut e = Engine::new(c, short);
+        let mut c = SutConfig::at_ir(10);
+        c.machine.frequency_hz = 100_000.0;
+        c.seed = seed;
+        let run = |mut e: Engine| {
             e.run_to_end();
             (per_core_hpm_digest(&e), e.completed_requests())
         };
-        prop_assert_eq!(run(SchedMode::Quantum), run(SchedMode::Event));
+        prop_assert_eq!(
+            run(Engine::no_skip(c.clone(), short)),
+            run(Engine::new(c, short))
+        );
     }
 }

@@ -36,7 +36,7 @@ fn hpmstat_samples_one_group_at_a_time_like_the_paper() {
     let mut engine = Engine::new(tiny_cfg(), tiny_plan());
     let end = tiny_plan().end();
     while engine.now() < end {
-        engine.step_quantum();
+        engine.run_to(engine.now() + engine.config().quantum);
         hpm.observe(engine.now(), &engine.machine().total_counters());
     }
     hpm.finish(end);
@@ -111,7 +111,7 @@ fn omniscient_and_grouped_sampling_agree_on_shared_events() {
     let mut engine = Engine::new(tiny_cfg(), tiny_plan());
     let end = tiny_plan().end();
     while engine.now() < end {
-        engine.step_quantum();
+        engine.run_to(engine.now() + engine.config().quantum);
         hpm.observe(engine.now(), &engine.machine().total_counters());
     }
     hpm.finish(end);

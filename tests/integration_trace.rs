@@ -1,5 +1,5 @@
 //! End-to-end gates for `jas-trace`: the trace-event stream is
-//! bit-identical under both schedulers, a disabled tracer leaves the
+//! bit-identical with and without idle skipping, a disabled tracer leaves the
 //! golden HPM digest byte-for-byte unchanged (tracing observes the
 //! simulation, it never perturbs it), and the exporters round-trip the
 //! event stream losslessly.
@@ -7,7 +7,7 @@
 mod common;
 
 use common::per_core_hpm_digest;
-use jas2004::{Engine, RunPlan, SchedMode, SutConfig, TraceSpec};
+use jas2004::{Engine, RunPlan, SutConfig, TraceSpec};
 use jas_simkernel::SimDuration;
 use jas_trace::{digest_of, export, json};
 use proptest::prelude::*;
@@ -108,9 +108,9 @@ fn chrome_json_export_is_well_formed() {
 }
 
 proptest! {
-    /// Scheduler invariance holds for arbitrary seeds, not just the
-    /// golden one: a short traced run under `--sched quantum` and
-    /// `--sched event` yields the same digest and event count.
+    /// Skip exactness holds for arbitrary seeds, not just the golden one:
+    /// a short traced run yields the same digest and event count as the
+    /// `Engine::no_skip` oracle.
     #[test]
     fn any_seed_trace_is_scheduler_invariant(seed in any::<u64>()) {
         let short = RunPlan {
@@ -119,16 +119,14 @@ proptest! {
             hpm_period: SimDuration::from_millis(500),
             throughput_bin: SimDuration::from_secs(2),
         };
-        let run = |sched: SchedMode| {
-            let mut c = SutConfig::at_ir(10);
-            c.machine.frequency_hz = 100_000.0;
-            c.seed = seed;
-            c.trace = TraceSpec::all();
-            c.sched = sched;
-            let mut e = Engine::new(c, short);
+        let mut c = SutConfig::at_ir(10);
+        c.machine.frequency_hz = 100_000.0;
+        c.seed = seed;
+        c.trace = TraceSpec::all();
+        let run = |mut e: Engine| {
             e.run_to_end();
             (e.tracer().digest(), e.tracer().len())
         };
-        prop_assert_eq!(run(SchedMode::Quantum), run(SchedMode::Event));
+        prop_assert_eq!(run(Engine::no_skip(c.clone(), short)), run(Engine::new(c, short)));
     }
 }
