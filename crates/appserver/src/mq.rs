@@ -71,6 +71,12 @@ impl Broker {
         QueueId((self.queues.len() - 1) as u32)
     }
 
+    /// `true` when `queue` was declared on this broker.
+    #[must_use]
+    pub fn has_queue(&self, queue: QueueId) -> bool {
+        (queue.0 as usize) < self.queues.len()
+    }
+
     /// Enqueues a message.
     ///
     /// # Panics

@@ -106,7 +106,8 @@ fn run(options: CliOptions) -> Result<(), String> {
     } else {
         let mut engine = match restore_from.as_deref() {
             Some(path) => {
-                let engine = restore_engine(&config, plan, &read_file(path)?)?;
+                let engine = restore_engine(&config, plan, &read_file(path)?)
+                    .map_err(|e| format!("{}: {e}", path.display()))?;
                 eprintln!(
                     "restored {} at t={:.3}s",
                     path.display(),
@@ -120,8 +121,9 @@ fn run(options: CliOptions) -> Result<(), String> {
             engine.start_recording();
         }
         if let Some(path) = replay_from.as_deref() {
-            let log = ReplayLog::from_bytes(&read_file(path)?)?;
-            engine.arm_replay(log);
+            ReplayLog::from_bytes(&read_file(path)?)
+                .and_then(|log| engine.arm_replay(log))
+                .map_err(|e| format!("{}: {e}", path.display()))?;
             eprintln!("replaying {}", path.display());
         }
         if let (Some(at), Some(out)) = (checkpoint_at, checkpoint_out.as_deref()) {
@@ -140,6 +142,12 @@ fn run(options: CliOptions) -> Result<(), String> {
             phases.observe(boundary_s, &engine.total_counters());
         }
         engine.run_to_end();
+        if let (Some(path), Some(divergence)) = (replay_from, engine.replay_divergence()) {
+            return Err(format!(
+                "{}: replay log diverged from this run: {divergence}",
+                path.display()
+            ));
+        }
         phases.observe(end_s, &engine.total_counters());
         if let Some(out) = record_out.as_deref() {
             let log = engine

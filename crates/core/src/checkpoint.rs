@@ -8,18 +8,15 @@
 //! construction — then overlays the recorded mutable state, after which the
 //! engine evolves bit-identically to the original run.
 //!
-//! The byte layout is specified in `docs/jckpt-format.md` and pinned by a
-//! format test in `crates/replay`; bump [`JCKPT_VERSION`] on any layout
+//! The byte layout is the shared artifact frame ([`Format`]) around the
+//! engine's state stream, specified in `docs/jckpt-format.md` and pinned by
+//! `crates/core/tests/format_pin.rs`; bump [`JCKPT_VERSION`] on any layout
 //! change.
 
 use crate::config::{RunPlan, SutConfig};
 use crate::engine::Engine;
 use jas_simkernel::snapshot::WordDigest;
-use jas_simkernel::{Loader, Saver, StateIo};
-
-/// Magic word opening a `.jckpt` stream: ASCII `"JASCKPT1"` read as a
-/// big-endian integer.
-pub const JCKPT_MAGIC: u64 = 0x4A41_5343_4B50_5431;
+use jas_simkernel::{Format, Loader, Saver};
 
 /// Container layout version. Bump on any change to the header layout *or*
 /// to the engine's `persist_state` field order (the payload has no
@@ -34,9 +31,13 @@ pub const JCKPT_MAGIC: u64 = 0x4A41_5343_4B50_5431;
 /// loads the live registrations instead of re-deriving them.
 pub const JCKPT_VERSION: u64 = 4;
 
-/// Words in the container header (magic, version, fingerprint, payload
-/// length).
-const HEADER_WORDS: usize = 4;
+/// The `.jckpt` frame: magic ASCII `"JASCKPT1"`, fingerprinted by
+/// [`config_fingerprint`].
+pub const JCKPT: Format = Format {
+    name: "checkpoint",
+    magic: 0x4A41_5343_4B50_5431,
+    version: JCKPT_VERSION,
+};
 
 /// A fingerprint of everything about a [`SutConfig`] that shapes
 /// simulation results.
@@ -66,100 +67,9 @@ pub fn config_fingerprint(cfg: &SutConfig) -> u64 {
 /// the visitor only reads on the save path.
 #[must_use]
 pub fn checkpoint_bytes(engine: &mut Engine) -> Vec<u8> {
-    let mut body = Saver::new();
-    engine.persist_state(&mut body);
-    let payload = body.into_bytes();
-    debug_assert_eq!(payload.len() % 8, 0, "payload is a whole number of words");
-
-    let mut out = Saver::new();
-    let mut digest = WordDigest::new();
-    let header = [
-        JCKPT_MAGIC,
-        JCKPT_VERSION,
-        config_fingerprint(engine.config()),
-        (payload.len() / 8) as u64,
-    ];
-    for word in header {
-        let mut w = word;
-        out.word(&mut w);
-        digest.mix(word);
-    }
-    for chunk in payload.chunks_exact(8) {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let mut w = word;
-        out.word(&mut w);
-        digest.mix(word);
-    }
-    let mut trailer = digest.value();
-    out.word(&mut trailer);
-    out.into_bytes()
-}
-
-/// Validates a `.jckpt` stream against `cfg` and returns the raw payload
-/// words as bytes.
-///
-/// # Errors
-///
-/// Fails on a bad magic word, a version mismatch, a configuration
-/// fingerprint mismatch, a truncated/oversized stream, or a corrupted
-/// payload (trailer digest mismatch).
-pub fn validate_checkpoint(cfg: &SutConfig, bytes: &[u8]) -> Result<Vec<u8>, String> {
-    if !bytes.len().is_multiple_of(8) || bytes.len() / 8 < HEADER_WORDS + 1 {
-        return Err(format!(
-            "not a checkpoint: {} bytes is shorter than the fixed container",
-            bytes.len()
-        ));
-    }
-    let word_at = |i: usize| {
-        u64::from_le_bytes(
-            bytes[i * 8..i * 8 + 8]
-                .try_into()
-                .expect("bounds checked above"),
-        )
-    };
-    if word_at(0) != JCKPT_MAGIC {
-        return Err(format!(
-            "not a checkpoint: magic {:#018x} != {JCKPT_MAGIC:#018x}",
-            word_at(0)
-        ));
-    }
-    if word_at(1) != JCKPT_VERSION {
-        return Err(format!(
-            "checkpoint version {} is not the supported version {JCKPT_VERSION}",
-            word_at(1)
-        ));
-    }
-    let expected_fp = config_fingerprint(cfg);
-    if word_at(2) != expected_fp {
-        return Err(format!(
-            "checkpoint was taken under a different configuration \
-             (fingerprint {:#018x}, this config is {expected_fp:#018x}); \
-             seed, IR, scenario, fault plan, and trace spec must all match",
-            word_at(2)
-        ));
-    }
-    let payload_words = word_at(3) as usize;
-    let total_words = HEADER_WORDS + payload_words + 1;
-    if bytes.len() / 8 != total_words {
-        return Err(format!(
-            "checkpoint length mismatch: header promises {total_words} words, \
-             stream has {}",
-            bytes.len() / 8
-        ));
-    }
-    let mut digest = WordDigest::new();
-    for i in 0..HEADER_WORDS + payload_words {
-        digest.mix(word_at(i));
-    }
-    let trailer = word_at(HEADER_WORDS + payload_words);
-    if digest.value() != trailer {
-        return Err(format!(
-            "checkpoint is corrupt: trailer digest {trailer:#018x} != \
-             computed {:#018x}",
-            digest.value()
-        ));
-    }
-    Ok(bytes[HEADER_WORDS * 8..(HEADER_WORDS + payload_words) * 8].to_vec())
+    let mut payload = Saver::new();
+    engine.persist_state(&mut payload);
+    JCKPT.seal(config_fingerprint(engine.config()), &payload.into_bytes())
 }
 
 /// Rebuilds an engine from a `.jckpt` stream.
@@ -170,8 +80,9 @@ pub fn validate_checkpoint(cfg: &SutConfig, bytes: &[u8]) -> Result<Vec<u8>, Str
 ///
 /// # Errors
 ///
-/// Fails on any [`validate_checkpoint`] error or on a payload that does
-/// not decode to exactly one engine state.
+/// Fails on a frame the [`JCKPT`] format refuses (bad magic, version or
+/// configuration fingerprint, a truncated or corrupt stream) or on a
+/// payload that does not decode to exactly one engine state.
 pub fn restore_engine(cfg: &SutConfig, plan: RunPlan, bytes: &[u8]) -> Result<Engine, String> {
     restore_into(Engine::new(cfg.clone(), plan), bytes)
 }
@@ -185,12 +96,12 @@ pub fn restore_engine(cfg: &SutConfig, plan: RunPlan, bytes: &[u8]) -> Result<En
 ///
 /// As [`restore_engine`].
 pub fn restore_into(mut engine: Engine, bytes: &[u8]) -> Result<Engine, String> {
-    let payload = validate_checkpoint(engine.config(), bytes)?;
-    let mut loader = Loader::new(&payload);
+    let payload = JCKPT.open(bytes, config_fingerprint(engine.config()))?;
+    let mut loader = Loader::new(payload);
     engine.persist_state(&mut loader);
     loader
         .finish()
-        .map_err(|e| format!("checkpoint payload does not match this build: {e}"))?;
+        .map_err(|e| format!("{} does not match this build: {e}", JCKPT.name))?;
     Ok(engine)
 }
 

@@ -2044,7 +2044,7 @@ enum StepOutcome {
 }
 // --- Checkpoint persistence ---
 //
-// Everything below serializes the engine's *mutable* state for jas-replay
+// Everything below serializes the engine's *mutable* state for `.jckpt`
 // checkpoints. Config-derived structures (plans, CDFs, pool capacities,
 // per-core generators' static tables) are rebuilt by `Engine::new` from the
 // same `SutConfig`; a restore overlays only what a run mutates. The same
@@ -2143,12 +2143,8 @@ impl Engine {
     /// reconciled only between quanta). Restore overlays a freshly built
     /// engine with the same configuration — the scenario type, DB schema,
     /// and warm session store come from construction, and only
-    /// run-mutated state is replayed from the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics when loading a stream whose scenario tag does not match the
-    /// engine's configured scenario (a config/checkpoint mismatch).
+    /// run-mutated state is replayed from the stream. A loaded scenario
+    /// tag that does not match the configured scenario poisons the stream.
     // jas-lint: allow(D012, reason = "a load restores the wake heap together with the state its registrations describe; `live` is derived from the loaded tasks")
     pub fn persist_state(&mut self, io: &mut dyn StateIo) {
         self.rng.persist(io);
@@ -2186,11 +2182,9 @@ impl Engine {
         self.appserver.persist(io);
         let mut tag = self.scenario.kind_tag();
         io.word(&mut tag);
-        assert_eq!(
-            tag,
-            self.scenario.kind_tag(),
-            "checkpoint scenario does not match the configured scenario"
-        );
+        if tag != self.scenario.kind_tag() {
+            io.poison();
+        }
         self.scenario.persist_state(io);
         snap::persist_opt(io, &mut self.recorder);
         // Version 2 tail: the wake heap (canonical live-registration form)
@@ -2427,21 +2421,62 @@ impl Engine {
     /// The engine must be freshly constructed: the real scenario has
     /// already seeded the DB schema and warmed the session store, and the
     /// replay log supplies everything the generator would have produced
-    /// from tick zero on.
+    /// from tick zero on. A log recorded under another configuration can
+    /// still diverge mid-run; check [`Engine::replay_divergence`] after it.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a log with a plan step no scenario compiles for this
+    /// engine: a JMS queue its broker does not have, one allocation larger
+    /// than the whole heap, or a compute step that is not a finite,
+    /// non-negative instruction count.
     ///
     /// # Panics
     ///
     /// Panics if the simulation has already advanced.
-    pub fn arm_replay(&mut self, log: ReplayLog) {
+    pub fn arm_replay(&mut self, log: ReplayLog) -> Result<(), String> {
         assert_eq!(
             self.clock,
             SimTime::ZERO,
             "replay must be armed before the first quantum"
         );
+        for (i, (_, plan)) in log.plans.iter().enumerate() {
+            for step in &plan.steps {
+                let refused = match *step {
+                    PlanStep::MqSend { queue, .. } | PlanStep::MqReceive { queue } => {
+                        !self.appserver.broker().has_queue(queue)
+                    }
+                    PlanStep::Allocate { class, count } => {
+                        u64::from(count)
+                            .saturating_mul(u64::from(self.cfg.alloc_multiplier))
+                            .saturating_mul(class.size())
+                            > self.cfg.jvm.heap.capacity
+                    }
+                    PlanStep::Compute { instructions, .. } => {
+                        !(instructions.is_finite() && instructions >= 0.0)
+                    }
+                    _ => false,
+                };
+                if refused {
+                    return Err(format!(
+                        "plan {i} has a step this engine cannot run: {step:?}"
+                    ));
+                }
+            }
+        }
         let mut scenario = ReplayScenario::new(log);
         let (gap, kind) = scenario.next_arrival();
         self.next_arrival = (SimTime::ZERO + gap, kind);
         self.scenario = Box::new(scenario);
+        Ok(())
+    }
+
+    /// The first point where an armed replay stopped matching the run, if
+    /// any (see [`Engine::arm_replay`]). A diverged run's results describe
+    /// no recorded run.
+    #[must_use]
+    pub fn replay_divergence(&self) -> Option<&str> {
+        self.scenario.divergence()
     }
 
     /// The configured run plan (checkpoint tooling needs the end time).

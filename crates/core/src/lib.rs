@@ -38,9 +38,7 @@ pub mod profiles;
 pub mod reduce;
 pub mod report;
 
-pub use checkpoint::{
-    checkpoint_bytes, config_fingerprint, restore_engine, restore_into, validate_checkpoint,
-};
+pub use checkpoint::{checkpoint_bytes, config_fingerprint, restore_engine, restore_into};
 pub use config::{FaultsConfig, RunPlan, ScenarioKind, SutConfig};
 pub use engine::Engine;
 pub use experiment::{run_artifacts_from, run_experiment, RunArtifacts};
@@ -50,3 +48,56 @@ pub use jas_cpu::{CounterFile, HpmEvent};
 pub use jas_faults::{FaultCounters, FaultKind, FaultPlan, FaultWindow};
 pub use jas_trace::{TraceCategory, TraceEvent, TraceEventKind, TraceSpec, Tracer};
 pub use reduce::{reduce_divergence, DivergenceWitness};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jas_simkernel::SimTime;
+
+    fn quick_cfg() -> SutConfig {
+        let mut cfg = SutConfig::at_ir(10);
+        cfg.machine.frequency_hz = 100_000.0;
+        cfg.jvm.heap.capacity = 8 << 20;
+        cfg.jvm.live_target = 2 << 20;
+        cfg
+    }
+
+    #[test]
+    fn recorded_replay_reproduces_the_run() {
+        let cfg = quick_cfg();
+        let plan = RunPlan::quick();
+        let mut recorded = Engine::new(cfg.clone(), plan);
+        recorded.start_recording();
+        recorded.run_to_end();
+        let log = recorded.take_recording().expect("recording was started");
+        assert!(!log.is_empty());
+        let original = run_artifacts_from(cfg.clone(), plan, recorded);
+
+        let mut replaying = Engine::new(cfg.clone(), plan);
+        replaying
+            .arm_replay(log)
+            .expect("a recorded log fits its engine");
+        replaying.run_to_end();
+        assert_eq!(replaying.replay_divergence(), None);
+        let replayed = run_artifacts_from(cfg, plan, replaying);
+        assert_eq!(replayed.jops, original.jops);
+        assert_eq!(replayed.trace_digest, original.trace_digest);
+        assert_eq!(replayed.fault_digest, original.fault_digest);
+    }
+
+    #[test]
+    fn resume_finishes_a_checkpointed_run() {
+        let cfg = quick_cfg();
+        let plan = RunPlan::quick();
+        let mut straight = Engine::new(cfg.clone(), plan);
+        straight.run_to_end();
+
+        let mut engine = Engine::new(cfg.clone(), plan);
+        engine.run_to(SimTime::from_millis(300));
+        let bytes = checkpoint_bytes(&mut engine);
+        let mut resumed = restore_engine(&cfg, plan, &bytes).unwrap();
+        resumed.run_to_end();
+        let finished = run_artifacts_from(cfg, plan, resumed);
+        assert_eq!(finished.hpm_digest, straight.hpm_digest());
+    }
+}

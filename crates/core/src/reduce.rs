@@ -16,11 +16,17 @@
 use crate::checkpoint::{checkpoint_bytes, restore_engine};
 use crate::config::{RunPlan, SutConfig};
 use crate::engine::Engine;
-use jas_simkernel::snapshot::WordDigest;
-use jas_simkernel::{Loader, SimDuration, SimTime, StateIo};
+use jas_simkernel::snapshot::{self as snap, Persist, StateIo};
+use jas_simkernel::{Format, Loader, Saver, SimDuration, SimTime};
 
-/// Magic word opening a serialized witness (`"JASWTNS1"`).
-pub const WITNESS_MAGIC: u64 = 0x4A41_5357_544E_5331;
+/// The `.jwit` frame: magic ASCII `"JASWTNS1"`, fingerprint word 0 (the
+/// embedded checkpoints carry their own). Version 1 hand-rolled its
+/// header and trailer; version 2 is the shared frame.
+pub const JWIT: Format = Format {
+    name: "witness",
+    magic: 0x4A41_5357_544E_5331,
+    version: 2,
+};
 
 /// A reduced divergence: the smallest bracketing window the reducer found,
 /// plus checkpoints of both runs at the window start.
@@ -29,7 +35,7 @@ pub const WITNESS_MAGIC: u64 = 0x4A41_5357_544E_5331;
 /// `window_end` they differ. Restoring both checkpoints and running each
 /// engine to `window_end` reproduces the divergence without replaying
 /// anything before the window.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DivergenceWitness {
     /// Last quantum boundary where both runs' probe digests agreed.
     pub window_start: SimTime,
@@ -60,114 +66,26 @@ impl DivergenceWitness {
         self.window().as_secs_f64() / self.run_end.as_secs_f64().max(1e-12)
     }
 
-    /// Serializes the witness (layout: `docs/jckpt-format.md`).
+    /// Serializes the witness into a sealed `.jwit` frame (layout:
+    /// `docs/jckpt-format.md`).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = jas_simkernel::Saver::new();
-        let mut words = vec![
-            WITNESS_MAGIC,
-            self.window_start.as_nanos(),
-            self.window_end.as_nanos(),
-            self.run_end.as_nanos(),
-            self.digest_a,
-            self.digest_b,
-            self.ckpt_a.len() as u64,
-            self.ckpt_b.len() as u64,
-        ];
-        for blob in [&self.ckpt_a, &self.ckpt_b] {
-            debug_assert_eq!(blob.len() % 8, 0, "checkpoints are whole words");
-            for chunk in blob.chunks_exact(8) {
-                words.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-            }
-        }
-        let mut digest = WordDigest::new();
-        for &word in &words {
-            digest.mix(word);
-        }
-        words.push(digest.value());
-        for mut word in words {
-            out.word(&mut word);
-        }
-        out.into_bytes()
+        let mut saver = Saver::new();
+        self.clone().persist(&mut saver);
+        JWIT.seal(0, &saver.into_bytes())
     }
 
     /// Deserializes a witness produced by [`DivergenceWitness::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Fails on a bad magic word, a truncated stream, or a trailer digest
-    /// mismatch.
+    /// Fails on any frame [`JWIT`] refuses, or on a payload that does not
+    /// decode to exactly one witness.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut loader = Loader::new(bytes);
-        let mut read = || {
-            let mut w = 0u64;
-            loader.word(&mut w);
-            w
-        };
-        let magic = read();
-        if magic != WITNESS_MAGIC {
-            return Err(format!(
-                "not a witness: magic {magic:#018x} != {WITNESS_MAGIC:#018x}"
-            ));
-        }
-        let window_start = SimTime::from_nanos(read());
-        let window_end = SimTime::from_nanos(read());
-        let run_end = SimTime::from_nanos(read());
-        let digest_a = read();
-        let digest_b = read();
-        let len_a = read() as usize;
-        let len_b = read() as usize;
-        let needed = len_a
-            .checked_add(len_b)
-            .and_then(|blobs| blobs.checked_add(9 * 8));
-        if !len_a.is_multiple_of(8)
-            || !len_b.is_multiple_of(8)
-            || needed.is_none_or(|n| bytes.len() < n)
-        {
-            return Err("witness is truncated".into());
-        }
-        let mut blob = |len: usize| {
-            let mut out = Vec::with_capacity(len);
-            for _ in 0..len / 8 {
-                let mut w = 0u64;
-                loader.word(&mut w);
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            out
-        };
-        let ckpt_a = blob(len_a);
-        let ckpt_b = blob(len_b);
-        let trailer = {
-            let mut w = 0u64;
-            loader.word(&mut w);
-            w
-        };
-        loader.finish()?;
-        let witness = DivergenceWitness {
-            window_start,
-            window_end,
-            run_end,
-            digest_a,
-            digest_b,
-            ckpt_a,
-            ckpt_b,
-        };
-        // Recompute the trailer over the re-serialized body: the body
-        // round-trips exactly, so the digests match iff the stream was
-        // intact.
-        let reserialized = witness.to_bytes();
-        let body_words = reserialized.len() / 8 - 1;
-        let mut check = WordDigest::new();
-        for chunk in reserialized[..body_words * 8].chunks_exact(8) {
-            check.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        if check.value() != trailer {
-            return Err(format!(
-                "witness is corrupt: trailer digest {trailer:#018x} != \
-                 computed {:#018x}",
-                check.value()
-            ));
-        }
+        let mut loader = Loader::new(JWIT.open(bytes, 0)?);
+        let mut witness = DivergenceWitness::default();
+        witness.persist(&mut loader);
+        loader.finish().map_err(|e| format!("{} {e}", JWIT.name))?;
         Ok(witness)
     }
 
@@ -203,6 +121,32 @@ impl DivergenceWitness {
             ));
         }
         Ok(())
+    }
+}
+
+impl Persist for DivergenceWitness {
+    fn persist(&mut self, io: &mut dyn StateIo) {
+        self.window_start.persist(io);
+        self.window_end.persist(io);
+        self.run_end.persist(io);
+        self.digest_a.persist(io);
+        self.digest_b.persist(io);
+        persist_blob(io, &mut self.ckpt_a);
+        persist_blob(io, &mut self.ckpt_b);
+    }
+}
+
+/// Persists an embedded `.jckpt` as a length-prefixed word vector, so the
+/// loader's length bound covers it.
+fn persist_blob(io: &mut dyn StateIo, blob: &mut Vec<u8>) {
+    debug_assert_eq!(blob.len() % 8, 0, "checkpoints are whole words");
+    let mut words: Vec<u64> = blob
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+        .collect();
+    snap::persist_vec(io, &mut words);
+    if !io.saving() {
+        *blob = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     }
 }
 
@@ -370,19 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn witness_lengths_that_overflow_are_truncation_errors() {
-        // 72 + (2^64 - 8) + 8 wraps to 72, which an 80-byte stream
-        // would satisfy if the sum were not checked.
-        let mut words = [0u64; 10];
-        words[0] = WITNESS_MAGIC;
-        words[6] = u64::MAX - 7;
-        words[7] = 8;
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let err = DivergenceWitness::from_bytes(&bytes).unwrap_err();
-        assert!(err.contains("truncated"), "unexpected error: {err}");
-    }
-
-    #[test]
     fn witness_round_trips_through_bytes() {
         let plan = RunPlan::quick();
         let end_s = plan.end().as_secs_f64();
@@ -393,6 +324,7 @@ mod tests {
         assert_eq!(back, witness);
         let mut corrupt = bytes.clone();
         corrupt[0] ^= 0xFF;
-        assert!(DivergenceWitness::from_bytes(&corrupt).is_err());
+        let err = DivergenceWitness::from_bytes(&corrupt).unwrap_err();
+        assert!(err.starts_with("witness "), "unexpected error: {err}");
     }
 }

@@ -296,7 +296,8 @@ impl Database {
                 self.txns.lock(txn, table, lo, LockMode::Shared)?;
                 let (pages, touched) = self.tables[table.0 as usize].find_range(lo, hi);
                 report.cpu_instructions += f64::from(touched) * INSTR_PER_INDEX_NODE;
-                report.rows = (hi - lo + 1).min(self.tables[table.0 as usize].rows());
+                report.rows = (hi.saturating_sub(lo).saturating_add(1))
+                    .min(self.tables[table.0 as usize].rows());
                 report.cpu_instructions += report.rows as f64 * INSTR_PER_ROW;
                 for page in pages {
                     self.touch_page(table, page, now, &mut report);

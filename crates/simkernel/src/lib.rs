@@ -59,6 +59,6 @@ pub use det::{DetMap, DetSet};
 pub use event::{EventQueue, Scheduler};
 pub use rng::Rng;
 pub use series::{SeriesRecorder, SeriesSample};
-pub use snapshot::{Loader, Persist, Saver, StateIo};
+pub use snapshot::{Format, Loader, Persist, Saver, StateIo};
 pub use time::{SimDuration, SimTime};
 pub use wake::{ComponentId, WakeHeap};

@@ -39,6 +39,11 @@ pub trait StateIo {
     fn length(&mut self, len: &mut u64) {
         self.word(len);
     }
+
+    /// Marks the stream malformed. A [`Loader`] then reads every later
+    /// word as zero and fails [`Loader::finish`]; a visitor that only
+    /// writes has no stream to reject.
+    fn poison(&mut self) {}
 }
 
 /// State that can round-trip through a checkpoint.
@@ -93,15 +98,16 @@ impl StateIo for Saver {
 /// Deserializes state from a byte buffer.
 ///
 /// A short read poisons the loader (subsequent words read as zero) instead
-/// of panicking, and so does an element count larger than the words left,
-/// which then loads as zero elements: hostile lengths never allocate.
+/// of panicking, and so do an element count larger than the words left,
+/// which then loads as zero elements (hostile lengths never allocate), and
+/// a fixed-size slice whose recorded length disagrees with the slice.
 /// Callers check [`Loader::finish`] after the visit, which also rejects
-/// trailing bytes — a stream that is too long or too short means the
-/// checkpoint was produced by a different state layout.
+/// trailing bytes — a stream that is too long or too short was produced by
+/// a different state layout.
 pub struct Loader<'a> {
     buf: &'a [u8],
     pos: usize,
-    underflow: bool,
+    poisoned: bool,
 }
 
 impl<'a> Loader<'a> {
@@ -111,7 +117,7 @@ impl<'a> Loader<'a> {
         Loader {
             buf: bytes,
             pos: 0,
-            underflow: false,
+            poisoned: false,
         }
     }
 
@@ -119,18 +125,19 @@ impl<'a> Loader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch (short read or trailing
-    /// bytes).
+    /// Returns a format-neutral description of the mismatch (a malformed
+    /// or short stream, or trailing bytes); callers prefix their format's
+    /// name.
     pub fn finish(self) -> Result<(), String> {
-        if self.underflow {
+        if self.poisoned {
             return Err(format!(
-                "checkpoint stream too short: needed more than {} bytes",
+                "payload is malformed: its {} bytes do not decode to this state layout",
                 self.buf.len()
             ));
         }
         if self.pos != self.buf.len() {
             return Err(format!(
-                "checkpoint stream too long: {} of {} bytes consumed",
+                "payload has trailing bytes: {} of {} bytes consumed",
                 self.pos,
                 self.buf.len()
             ));
@@ -151,7 +158,7 @@ impl StateIo for Loader<'_> {
                 self.pos += 8;
             }
             None => {
-                self.underflow = true;
+                self.poisoned = true;
                 *v = 0;
             }
         }
@@ -161,10 +168,14 @@ impl StateIo for Loader<'_> {
         self.word(len);
         let words_left = (self.buf.len() - self.pos) / 8;
         if *len > words_left as u64 {
-            self.underflow = true;
-            self.pos = self.buf.len();
+            self.poison();
             *len = 0;
         }
+    }
+
+    fn poison(&mut self) {
+        self.poisoned = true;
+        self.pos = self.buf.len();
     }
 }
 
@@ -306,21 +317,15 @@ pub fn persist_deque<T: Persist + Default>(io: &mut dyn StateIo, v: &mut VecDequ
 }
 
 /// Persists a fixed-size slice whose length is config-derived: the length
-/// is recorded for validation but never resizes the slice.
-///
-/// # Panics
-///
-/// Panics when a loaded checkpoint disagrees with the slice length — the
-/// checkpoint was taken under a different configuration, which the
-/// container-level fingerprint should have rejected first.
+/// is recorded for validation but never resizes the slice. A loaded length
+/// that disagrees with the slice poisons the stream.
 pub fn persist_slice<T: Persist>(io: &mut dyn StateIo, v: &mut [T]) {
     let mut len = v.len() as u64;
     io.word(&mut len);
-    assert_eq!(
-        len as usize,
-        v.len(),
-        "checkpoint slice length mismatch (configuration drift)"
-    );
+    if len != v.len() as u64 {
+        io.poison();
+        return;
+    }
     for item in v.iter_mut() {
         item.persist(io);
     }
@@ -396,7 +401,106 @@ where
     }
 }
 
-/// FNV-1a over a byte slice — the digest primitive the `.jckpt` container
+/// One sealed binary artifact format: the frame every `.jckpt`, `.jrpl` and
+/// `.jwit` file shares (`docs/jckpt-format.md`, "Frame").
+///
+/// A frame is four header words — magic, version, fingerprint, payload
+/// length in words — then the payload, then an FNV-1a trailer over every
+/// byte before it. All words are little-endian `u64`s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Format {
+    /// What the artifact is called in errors ("checkpoint", "replay log").
+    pub name: &'static str,
+    /// Header word 0: eight ASCII bytes read as a big-endian integer.
+    pub magic: u64,
+    /// Header word 1: bumped on any change to the payload layout.
+    pub version: u64,
+}
+
+/// Bytes before the payload: magic, version, fingerprint, payload length.
+const HEADER_BYTES: usize = 32;
+
+impl Format {
+    /// Frames `payload`, a whole number of words, under `fingerprint`.
+    #[must_use]
+    pub fn seal(&self, fingerprint: u64, payload: &[u8]) -> Vec<u8> {
+        debug_assert!(
+            payload.len().is_multiple_of(8),
+            "payload is a whole number of words"
+        );
+        let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + 8);
+        for word in [
+            self.magic,
+            self.version,
+            fingerprint,
+            (payload.len() / 8) as u64,
+        ] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(payload);
+        let trailer = fnv1a(&out);
+        out.extend_from_slice(&trailer.to_le_bytes());
+        out
+    }
+
+    /// Checks a frame and borrows its payload. The checks run in order:
+    /// length, magic, version, fingerprint, declared length, trailer.
+    ///
+    /// # Errors
+    ///
+    /// Names this format and the first check that failed.
+    pub fn open<'a>(&self, bytes: &'a [u8], fingerprint: u64) -> Result<&'a [u8], String> {
+        let name = self.name;
+        if !bytes.len().is_multiple_of(8) || bytes.len() < HEADER_BYTES + 8 {
+            return Err(format!(
+                "{name} is truncated: {} bytes is not a whole frame",
+                bytes.len()
+            ));
+        }
+        let word = |i: usize| {
+            u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("bounds checked"))
+        };
+        if word(0) != self.magic {
+            return Err(format!(
+                "{name} has the wrong magic {:#018x} (expected {:#018x})",
+                word(0),
+                self.magic
+            ));
+        }
+        if word(1) != self.version {
+            return Err(format!(
+                "{name} version {} is not the supported version {}",
+                word(1),
+                self.version
+            ));
+        }
+        if word(2) != fingerprint {
+            return Err(format!(
+                "{name} fingerprint {:#018x} does not match {fingerprint:#018x}: \
+                 it was written under a different configuration",
+                word(2)
+            ));
+        }
+        let held = (bytes.len() - HEADER_BYTES - 8) / 8;
+        if word(3) != held as u64 {
+            return Err(format!(
+                "{name} is truncated or padded: its header declares {} payload words, \
+                 the frame holds {held}",
+                word(3)
+            ));
+        }
+        let body = &bytes[..bytes.len() - 8];
+        let (trailer, computed) = (word(bytes.len() / 8 - 1), fnv1a(body));
+        if trailer != computed {
+            return Err(format!(
+                "{name} is corrupt: trailer {trailer:#018x} != computed {computed:#018x}"
+            ));
+        }
+        Ok(&body[HEADER_BYTES..])
+    }
+}
+
+/// FNV-1a over a byte slice — the digest primitive the artifact frame
 /// and the engine's probe digest share with the trace/fault digests, the
 /// `SCENARIO_DIGEST` and the `jas-lint` cache key. The workspace's one
 /// byte-wise copy.
@@ -532,6 +636,65 @@ mod tests {
     }
 
     #[test]
+    fn slice_length_mismatch_poisons_the_loader() {
+        // A hostile stream that records 3 elements for a 2-slot slice must
+        // fail the load, not panic.
+        let mut saver = Saver::new();
+        persist_slice(&mut saver, &mut [7u64, 8, 9]);
+        let bytes = saver.into_bytes();
+        let mut two = [0u64; 2];
+        let mut loader = Loader::new(&bytes);
+        persist_slice(&mut loader, &mut two);
+        assert!(loader.finish().is_err());
+        let mut three = [0u64; 3];
+        let mut loader = Loader::new(&bytes);
+        persist_slice(&mut loader, &mut three);
+        loader.finish().expect("exact stream");
+        assert_eq!(three, [7, 8, 9]);
+    }
+
+    const DEMO: Format = Format {
+        name: "demo artifact",
+        magic: u64::from_be_bytes(*b"JASDEMO1"),
+        version: 3,
+    };
+
+    #[test]
+    fn frame_round_trips_and_borrows_the_payload() {
+        let payload: Vec<u8> = (1..=16u8).collect();
+        let bytes = DEMO.seal(42, &payload);
+        assert_eq!(bytes.len(), 32 + 16 + 8);
+        assert_eq!(DEMO.open(&bytes, 42).unwrap(), &payload[..]);
+        let trailer = u64::from_le_bytes(bytes[48..].try_into().unwrap());
+        assert_eq!(trailer, fnv1a(&bytes[..48]));
+    }
+
+    #[test]
+    fn frame_checks_run_in_order_and_name_the_format() {
+        let bytes = DEMO.seal(42, &[0; 16]);
+        let err = |b: &[u8], fp: u64| DEMO.open(b, fp).unwrap_err();
+        let mut corrupt = bytes.clone();
+        // Words 0, 1 and 3 all wrong: the magic is reported first.
+        corrupt[0] ^= 1;
+        corrupt[8] ^= 1;
+        corrupt[24] ^= 1;
+        assert!(err(&corrupt, 42).contains("wrong magic"));
+        corrupt[0] ^= 1;
+        assert!(err(&corrupt, 42).contains("version 2 is not"));
+        corrupt[8] ^= 1;
+        assert!(err(&bytes, 7).contains("fingerprint"));
+        assert!(err(&corrupt, 42).contains("declares 3 payload words"));
+        corrupt[24] ^= 1;
+        corrupt[40] ^= 1;
+        assert!(err(&corrupt, 42).contains("corrupt"));
+        assert!(err(&bytes[..bytes.len() - 8], 42).contains("declares"));
+        assert!(err(&bytes[..39], 42).contains("truncated"));
+        for e in [err(&corrupt, 42), err(&bytes, 7), err(&[], 0)] {
+            assert!(e.starts_with("demo artifact "), "{e}");
+        }
+    }
+
+    #[test]
     fn nan_and_negative_zero_round_trip_bit_exact() {
         for v in [f64::NAN, -0.0, f64::INFINITY, f64::MIN_POSITIVE] {
             let mut x = v;
@@ -589,7 +752,7 @@ mod tests {
     fn fnv1a_known_answers() {
         // The offset basis and prime every digest in the workspace uses
         // (docs/scenario-format.md "Canonical serialization"), the lint
-        // cache key and the `.jckpt` trailer (docs/jckpt-format.md).
+        // cache key and the artifact frame trailer (docs/jckpt-format.md).
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

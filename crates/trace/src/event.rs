@@ -73,8 +73,8 @@ impl TraceCategory {
 }
 
 /// What happened. Every variant carries at most one `u64`-encodable
-/// argument so the binary format stays fixed-width and the digest covers
-/// the full payload.
+/// argument so the checkpointed form stays fixed-width and the digest
+/// covers the full payload.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// A request entered the system; the argument is its
@@ -181,7 +181,7 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Stable digest/wire code; changing any value invalidates pinned
-    /// `TRACE_DIGEST`s and breaks old binary traces.
+    /// `TRACE_DIGEST`s and the tracer state inside old checkpoints.
     #[must_use]
     pub fn code(self) -> u64 {
         match self {

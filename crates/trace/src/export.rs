@@ -1,23 +1,10 @@
-//! Trace exporters: chrome://tracing JSON and a compact self-describing
-//! binary format.
+//! Trace exporter: chrome://tracing JSON.
 //!
-//! Both exporters are pure functions of the event slice, so exporting can
-//! never perturb simulation state, and the binary format round-trips
-//! losslessly: `from_binary(to_binary(events)) == events`, which makes
-//! `binary -> JSON` produce byte-identical output to a direct JSON export.
+//! The exporter is a pure function of the event slice, so exporting can
+//! never perturb simulation state.
 
-use crate::event::{TraceEvent, TraceEventKind};
+use crate::event::TraceEvent;
 use crate::tracer::digest_of;
-use jas_simkernel::SimTime;
-
-/// Magic bytes opening every binary trace.
-pub const BINARY_MAGIC: [u8; 4] = *b"JTRC";
-
-/// Binary trace format version.
-pub const BINARY_VERSION: u16 = 1;
-
-/// Self-describing record layout string embedded in the binary header.
-pub const BINARY_LAYOUT: &str = "at:u64le,tid:u64le,code:u64le,arg:u64le";
 
 /// Renders events as chrome://tracing "JSON Object Format", loadable in
 /// `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -53,109 +40,11 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Serializes events into the compact binary format: a `JTRC` magic, a
-/// version, the self-describing record layout string, the event count, and
-/// then one 32-byte little-endian record per event.
-#[must_use]
-pub fn to_binary(events: &[TraceEvent]) -> Vec<u8> {
-    let layout = BINARY_LAYOUT.as_bytes();
-    let mut out = Vec::with_capacity(16 + layout.len() + events.len() * 32);
-    out.extend_from_slice(&BINARY_MAGIC);
-    out.extend_from_slice(&BINARY_VERSION.to_le_bytes());
-    let layout_len = u16::try_from(layout.len()).unwrap_or(u16::MAX);
-    out.extend_from_slice(&layout_len.to_le_bytes());
-    out.extend_from_slice(layout);
-    out.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for ev in events {
-        out.extend_from_slice(&ev.at.as_nanos().to_le_bytes());
-        out.extend_from_slice(&ev.trace_id.to_le_bytes());
-        out.extend_from_slice(&ev.what.code().to_le_bytes());
-        out.extend_from_slice(&ev.what.arg().to_le_bytes());
-    }
-    out
-}
-
-/// Parses a binary trace produced by [`to_binary`] back into events.
-///
-/// # Errors
-///
-/// Returns a message describing the first structural problem: bad magic,
-/// unsupported version, truncated header or records, or an unknown event
-/// code (which would mean the trace came from a newer taxonomy).
-pub fn from_binary(bytes: &[u8]) -> Result<Vec<TraceEvent>, String> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let magic = cursor.take(4)?;
-    if magic != BINARY_MAGIC {
-        return Err(format!("bad magic {magic:?}, expected {BINARY_MAGIC:?}"));
-    }
-    let version = cursor.u16()?;
-    if version != BINARY_VERSION {
-        return Err(format!(
-            "unsupported trace version {version} (this build reads {BINARY_VERSION})"
-        ));
-    }
-    let layout_len = usize::from(cursor.u16()?);
-    let _layout = cursor.take(layout_len)?;
-    let count = cursor.u64()?;
-    let count = usize::try_from(count).map_err(|_| format!("absurd event count {count}"))?;
-    let mut events = Vec::with_capacity(count.min(1 << 20));
-    for i in 0..count {
-        let at = cursor.u64()?;
-        let trace_id = cursor.u64()?;
-        let code = cursor.u64()?;
-        let arg = cursor.u64()?;
-        let what = TraceEventKind::from_code(code, arg)
-            .ok_or_else(|| format!("event {i}: unknown code {code:#x}"))?;
-        events.push(TraceEvent {
-            at: SimTime::from_nanos(at),
-            trace_id,
-            what,
-        });
-    }
-    if cursor.pos != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after {count} events",
-            bytes.len() - cursor.pos
-        ));
-    }
-    Ok(events)
-}
-
-/// Bounds-checked little-endian reader over the binary payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| format!("truncated trace: need {n} bytes at offset {}", self.pos))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        let raw = self.take(2)?;
-        Ok(u16::from_le_bytes([raw[0], raw[1]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let raw = self.take(8)?;
-        let mut buf = [0_u8; 8];
-        buf.copy_from_slice(raw);
-        Ok(u64::from_le_bytes(buf))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceCategory;
+    use crate::event::{TraceCategory, TraceEventKind};
+    use jas_simkernel::SimTime;
 
     fn sample() -> Vec<TraceEvent> {
         vec![
@@ -180,32 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trips_losslessly() {
-        let events = sample();
-        let bytes = to_binary(&events);
-        assert_eq!(&bytes[..4], &BINARY_MAGIC);
-        let back = from_binary(&bytes).expect("round-trips");
-        assert_eq!(back, events);
-        assert_eq!(digest_of(&back), digest_of(&events));
-    }
-
-    #[test]
-    fn from_binary_rejects_corruption() {
-        let events = sample();
-        let bytes = to_binary(&events);
-        assert!(from_binary(&bytes[..bytes.len() - 1]).is_err(), "truncated");
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] = b'X';
-        assert!(from_binary(&wrong_magic).is_err(), "magic");
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 0xEE;
-        assert!(from_binary(&wrong_version).is_err(), "version");
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(from_binary(&trailing).is_err(), "trailing bytes");
-    }
-
-    #[test]
     fn chrome_json_mentions_every_event_once() {
         let events = sample();
         let json = to_chrome_json(&events);
@@ -215,12 +78,5 @@ mod tests {
         }
         assert!(json.contains(&format!("{:#018x}", digest_of(&events))));
         assert!(json.contains(TraceCategory::Db.name()));
-    }
-
-    #[test]
-    fn chrome_json_of_binary_matches_direct_export() {
-        let events = sample();
-        let via_binary = from_binary(&to_binary(&events)).expect("round-trips");
-        assert_eq!(to_chrome_json(&via_binary), to_chrome_json(&events));
     }
 }

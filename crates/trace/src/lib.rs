@@ -16,8 +16,7 @@
 //!   append directly; per-core events are staged into per-core buffers and
 //!   merged in fixed core order, so the trace — and its FNV-1a
 //!   [`Tracer::digest`] — is bit-identical at any `--threads` value.
-//! * **Exporters** ([`export`]): chrome://tracing / Perfetto JSON and a
-//!   compact self-describing binary format that round-trips losslessly.
+//! * **Exporter** ([`export`]): chrome://tracing / Perfetto JSON.
 //! * **Host self-profiling** ([`HostProf`]): a scoped-timer layer
 //!   answering the paper's "where do the cycles go" question for the
 //!   simulator itself — host wall-clock is confined to [`hostprof`] (the

@@ -16,7 +16,7 @@
 use crate::requests::RequestKind;
 use jas_appserver::{QueueId, TxPlan};
 use jas_simkernel::snapshot::{self as snap, Persist, Saver, StateIo};
-use jas_simkernel::{Loader, SimDuration};
+use jas_simkernel::{Format, Loader, SimDuration};
 use std::collections::VecDeque;
 
 use crate::scenario::Scenario;
@@ -32,8 +32,14 @@ pub struct ReplayLog {
     pub plans: Vec<(RequestKind, TxPlan)>,
 }
 
-/// Magic word opening a serialized replay log (`"JASRPLY1"`).
-const REPLAY_MAGIC: u64 = 0x4A41_5352_504C_5931;
+/// The `.jrpl` frame: magic ASCII `"JASRPLY1"`. A log is not bound to a
+/// configuration, so its fingerprint word is always 0. Version 1 was an
+/// unframed magic word; version 2 is the shared frame.
+pub const JRPL: Format = Format {
+    name: "replay log",
+    magic: 0x4A41_5352_504C_5931,
+    version: 2,
+};
 
 impl ReplayLog {
     /// `true` when nothing was recorded.
@@ -42,34 +48,25 @@ impl ReplayLog {
         self.arrivals.is_empty() && self.plans.is_empty()
     }
 
-    /// Serializes the log to bytes.
+    /// Serializes the log into a sealed `.jrpl` frame.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut saver = Saver::new();
-        let mut magic = REPLAY_MAGIC;
-        saver.word(&mut magic);
-        let mut clone = self.clone();
-        clone.persist(&mut saver);
-        saver.into_bytes()
+        self.clone().persist(&mut saver);
+        JRPL.seal(0, &saver.into_bytes())
     }
 
     /// Deserializes a log produced by [`ReplayLog::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Fails on a bad magic word or a truncated/oversized stream.
+    /// Fails on any frame [`JRPL`] refuses, or on a payload that does not
+    /// decode to exactly one log.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut loader = Loader::new(bytes);
-        let mut magic = 0u64;
-        loader.word(&mut magic);
-        if magic != REPLAY_MAGIC {
-            return Err(format!(
-                "not a replay log: magic {magic:#018x} != {REPLAY_MAGIC:#018x}"
-            ));
-        }
+        let mut loader = Loader::new(JRPL.open(bytes, 0)?);
         let mut log = ReplayLog::default();
         log.persist(&mut loader);
-        loader.finish()?;
+        loader.finish().map_err(|e| format!("{} {e}", JRPL.name))?;
         Ok(log)
     }
 }
@@ -89,10 +86,15 @@ const NEVER: SimDuration = SimDuration::from_secs(100 * 365 * 24 * 3600);
 ///
 /// Arrivals and plans are popped in recorded order; the engine's
 /// deterministic execution guarantees build calls arrive in the same
-/// order they were recorded, which [`ReplayScenario::build`] asserts.
+/// order they were recorded. A log that was not recorded from this
+/// configuration breaks that order: [`ReplayScenario::build`] then records
+/// the first divergence ([`Scenario::divergence`]) and hands out empty
+/// plans, so the caller can refuse the run instead of the process
+/// aborting.
 pub struct ReplayScenario {
     arrivals: VecDeque<(SimDuration, RequestKind)>,
     plans: VecDeque<(RequestKind, TxPlan)>,
+    divergence: Option<String>,
 }
 
 impl ReplayScenario {
@@ -102,6 +104,7 @@ impl ReplayScenario {
         ReplayScenario {
             arrivals: log.arrivals.into(),
             plans: log.plans.into(),
+            divergence: None,
         }
     }
 
@@ -124,17 +127,19 @@ impl Scenario for ReplayScenario {
     }
 
     fn build(&mut self, kind: RequestKind, _work_order_queue: QueueId) -> TxPlan {
-        match self.plans.pop_front() {
-            Some((recorded_kind, plan)) => {
-                assert_eq!(
-                    recorded_kind, kind,
-                    "replay divergence: engine asked for a {kind:?} plan but \
-                     the log recorded {recorded_kind:?} next"
-                );
-                plan
+        let divergence = match self.plans.pop_front() {
+            Some((recorded, plan)) if recorded == kind => return plan,
+            Some((recorded, _)) => {
+                format!("engine asked for a {kind:?} plan but the log recorded {recorded:?} next")
             }
-            None => panic!("replay divergence: engine asked for a {kind:?} plan past log end"),
-        }
+            None => format!("engine asked for a {kind:?} plan past the log's end"),
+        };
+        self.divergence.get_or_insert(divergence);
+        TxPlan::new()
+    }
+
+    fn divergence(&self) -> Option<&str> {
+        self.divergence.as_deref()
     }
 
     fn label(&self, kind: RequestKind) -> &'static str {
@@ -183,26 +188,37 @@ mod tests {
         assert_eq!(back, log);
     }
 
+    fn err(bytes: &[u8]) -> String {
+        let e = ReplayLog::from_bytes(bytes).unwrap_err();
+        assert!(e.starts_with("replay log "), "{e}");
+        e
+    }
+
     #[test]
     fn bad_magic_is_rejected() {
         let mut bytes = sample_log().to_bytes();
         bytes[0] ^= 0xFF;
-        assert!(ReplayLog::from_bytes(&bytes).is_err());
+        assert!(err(&bytes).contains("magic"));
     }
 
     #[test]
     fn truncated_log_is_rejected() {
         let bytes = sample_log().to_bytes();
-        assert!(ReplayLog::from_bytes(&bytes[..bytes.len() - 8]).is_err());
+        err(&bytes[..bytes.len() - 8]);
     }
 
     #[test]
     fn hostile_length_word_is_rejected_not_allocated() {
-        // The log has no trailer digest, so its first length word is the
-        // first thing a hostile file controls.
-        let mut bytes = sample_log().to_bytes();
-        bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        assert!(ReplayLog::from_bytes(&bytes).is_err());
+        // Re-seal the frame around the hostile payload so the trailer
+        // passes and the length word reaches the payload decoder.
+        let bytes = sample_log().to_bytes();
+        let mut payload = JRPL.open(&bytes, 0).unwrap().to_vec();
+        payload[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(err(&JRPL.seal(0, &payload)).contains("malformed"));
+        // Unsealed, the same flip is caught by the trailer.
+        let mut flipped = bytes;
+        flipped[32..40].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(err(&flipped).contains("corrupt"));
     }
 
     #[test]
@@ -224,9 +240,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "replay divergence")]
-    fn kind_mismatch_panics() {
+    fn kind_mismatch_is_recorded_as_a_divergence() {
         let mut s = ReplayScenario::new(sample_log());
-        s.build(RequestKind::Manage, QueueId(0));
+        assert_eq!(s.divergence(), None);
+        assert!(s.build(RequestKind::Manage, QueueId(0)).steps.is_empty());
+        let first = s.divergence().expect("divergence recorded").to_owned();
+        assert!(
+            first.contains("Manage") && first.contains("Browse"),
+            "{first}"
+        );
+        // Only the first divergence is kept; running past the end is one too.
+        s.build(RequestKind::Purchase, QueueId(0));
+        s.build(RequestKind::Purchase, QueueId(0));
+        assert_eq!(s.divergence(), Some(first.as_str()));
+        let mut empty = ReplayScenario::new(ReplayLog::default());
+        empty.build(RequestKind::Browse, QueueId(0));
+        assert!(empty.divergence().unwrap().contains("past the log's end"));
     }
 }

@@ -43,6 +43,12 @@ pub trait Scenario {
     /// popularity tables, arrival distributions) are reconstructed from
     /// configuration and not serialized.
     fn persist_state(&mut self, io: &mut dyn jas_simkernel::StateIo);
+
+    /// The first point where a replayed stream stopped matching the
+    /// requests the engine made, if any. Generators never diverge.
+    fn divergence(&self) -> Option<&str> {
+        None
+    }
 }
 
 /// The SPECjAppServer2004-like dealer/manufacturing workload (the paper's).

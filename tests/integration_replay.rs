@@ -1,15 +1,16 @@
-//! jas-replay acceptance gates: checkpoint/restore is bit-identical to an
-//! uninterrupted run, `.jckpt` streams round-trip and reject
-//! version/config mismatches, trace-driven replay reproduces a recorded
-//! run's digests, and the reducer shrinks a seeded divergence to a
-//! witness window ≤ 10% of the run.
+//! Checkpoint, replay and reduction acceptance gates: checkpoint/restore
+//! is bit-identical to an uninterrupted run, `.jckpt` streams round-trip
+//! and reject version/config mismatches, trace-driven replay reproduces a
+//! recorded run's digests, and the reducer shrinks a seeded divergence to
+//! a witness window ≤ 10% of the run.
 
-use jas_faults::{FaultKind, FaultPlan, FaultWindow};
-use jas_replay::{
-    checkpoint_bytes, record_run, reduce_divergence, replay_run, restore_engine, Engine, RunPlan,
-    SutConfig,
+use jas2004::{
+    checkpoint_bytes, reduce_divergence, restore_engine, run_artifacts_from, DivergenceWitness,
+    Engine, RunArtifacts, RunPlan, SutConfig,
 };
+use jas_faults::{FaultKind, FaultPlan, FaultWindow};
 use jas_simkernel::{SimDuration, SimTime};
+use jas_workload::ReplayLog;
 use proptest::prelude::*;
 
 fn plan() -> RunPlan {
@@ -36,6 +37,27 @@ fn golden(cfg: &SutConfig, plan: RunPlan) -> (u64, u64) {
     let mut e = Engine::new(cfg.clone(), plan);
     e.run_to_end();
     (e.hpm_digest(), e.probe_digest())
+}
+
+/// Runs `cfg`/`plan` to completion while recording the request stream.
+fn record_run(cfg: &SutConfig, plan: RunPlan) -> (RunArtifacts, ReplayLog) {
+    let mut engine = Engine::new(cfg.clone(), plan);
+    engine.start_recording();
+    engine.run_to_end();
+    let log = engine.take_recording().expect("recording was started");
+    (run_artifacts_from(cfg.clone(), plan, engine), log)
+}
+
+/// Re-executes a recorded request stream in place of the generator; the
+/// log must replay without diverging.
+fn replay_run(cfg: &SutConfig, plan: RunPlan, log: ReplayLog) -> RunArtifacts {
+    let mut engine = Engine::new(cfg.clone(), plan);
+    engine
+        .arm_replay(log)
+        .expect("the log names only this engine's queues");
+    engine.run_to_end();
+    assert_eq!(engine.replay_divergence(), None);
+    run_artifacts_from(cfg.clone(), plan, engine)
 }
 
 /// Checkpoint at `at`, restore, run to end, and return the finished
@@ -145,7 +167,7 @@ fn reducer_shrinks_divergence_below_ten_percent() {
     witness.verify(&a, &b, plan).unwrap();
 
     // The witness survives serialization.
-    let back = jas_replay::DivergenceWitness::from_bytes(&witness.to_bytes()).unwrap();
+    let back = DivergenceWitness::from_bytes(&witness.to_bytes()).unwrap();
     back.verify(&a, &b, plan).unwrap();
 }
 
